@@ -201,7 +201,8 @@ def _empty_record(cfg: dict) -> dict:
 
 
 def _run_solve(cfg: dict) -> tuple:
-    """Full pipeline for one problem.  Returns (record, pair_or_None, grid)."""
+    """Full pipeline for one problem.  Returns (record, pair_or_None, grid);
+    the pair is None when any requested solve failed to converge."""
     t0 = time.perf_counter()
     domain = _domain_from_config(cfg)
     grid = build_grid(domain, cfg["resolution"])
@@ -246,7 +247,13 @@ def _run_solve(cfg: dict) -> tuple:
     record["quotient_u"] = boundary_quotient(np.maximum(pair.u, 0.0), grid, cfg["s"]).aggregate
     record["quotient_v"] = boundary_quotient(np.maximum(pair.v, 0.0), grid, cfg["s"]).aggregate
     if cfg["second_init"]:
-        pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]), cfg["solver"])
+        try:
+            pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]), cfg["solver"])
+        except NonconvergenceError as exc:
+            # the first pair's record stands; only the uniqueness gap is missing
+            record["wall_time_s"] = time.perf_counter() - t0
+            record["verdict"] = f"nonconvergence: second start {cfg['second_init']!r} failed: {exc}"
+            return record, None, grid
         gap = uniqueness_gap(pair, pair2)
         record["uniqueness_gap_u"] = gap.gap_u
         record["uniqueness_gap_v"] = gap.gap_v
@@ -315,7 +322,7 @@ def cmd_solve(args) -> int:
               f"energy={record['energy_value']:+.6f}")
         print(f"record: {rec_path}\nsolution: {sol_path}")
         return EXIT_OK
-    print(f"regime={record['regime']} converged=False")
+    print(f"regime={record['regime']} converged={record['converged']}")
     print(record["verdict"])
     print(f"record: {rec_path}")
     return EXIT_NONCONVERGENCE

@@ -153,11 +153,15 @@ def smoothed_power(t: np.ndarray, eps: float, p: float) -> np.ndarray:
 
 
 def energy(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
-           smoothing: float = 0.0) -> EnergyReport:
-    """Evaluate the (optionally eps-smoothed) functional at u."""
+           smoothing: float = 0.0, au: np.ndarray | None = None) -> EnergyReport:
+    """Evaluate the (optionally eps-smoothed) functional at u.
+
+    A caller that already holds the product A u passes it as `au` and saves
+    the matvec."""
     p, q = exps.pf, exps.qf
     w = op.grid.weights
-    au = op.apply(u)
+    if au is None:
+        au = op.apply(u)
     raw_kin = float(np.sum(w * smoothed_density(au, smoothing, p)))
     kinetic = p / (p + 1.0) * raw_kin
     potential = float(np.sum(w * np.maximum(u, 0.0) ** (q + 1.0))) / (q + 1.0)

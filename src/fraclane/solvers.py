@@ -4,7 +4,8 @@ Three layers:
 
 * minimize_sublinear — preconditioned descent on the scalar energy with a
   smoothing continuation, for pq < 1 where the energy is bounded below and
-  the positive solution is the global minimizer.
+  the positive solution is the global minimizer; handed to Newton as soon
+  as a trial Newton run contracts through positive iterates.
 * mountain_pass — for pq > 1 (subcritical), where 0 is a local minimum and
   the solution is a saddle: deform a discretized path from 0 to a
   low-energy state until its maximal node settles on the ridge.
@@ -50,7 +51,7 @@ class SolverConfig:
     """Knobs for the solver pipelines.  A fixed config (seed included) makes
     every run bitwise deterministic."""
 
-    max_iter: int = 2000                 # descent budget across all smoothing stages
+    max_iter: int = 2000                 # descent ceiling across all smoothing stages
     gradient_tol: float = 1e-10          # stationarity target, relative to operator scale
     residual_tol: float = 1e-8           # equation-residual acceptance threshold
     armijo: float = 1e-4                 # sufficient-decrease constant
@@ -150,8 +151,19 @@ def _pair(op, u, v, exps, converged, method, iterations, trace, message="") -> S
 # Newton polish on the coupled system
 
 
+def _power_derivative(x: np.ndarray, e: float) -> np.ndarray:
+    """One-sided derivative of x_+^e: e x^(e-1) where x > 0, and 0 elsewhere.
+
+    For e < 1 the two-sided formula is infinite at x = 0; the zero branch
+    keeps the Jacobian finite there."""
+    with np.errstate(divide="ignore"):
+        full = e * np.maximum(x, 0.0) ** (e - 1.0)
+    return np.where(x > 0.0, full, 0.0)
+
+
 def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
-                  exps: ExponentPair, cfg: SolverConfig = SolverConfig()) -> SolutionPair:
+                  exps: ExponentPair, cfg: SolverConfig = SolverConfig(),
+                  *, _monotone: bool = False) -> SolutionPair:
     """Newton iteration on F(u,v) = (A u - (v_+)^p, A v - (u_+)^q).
 
     Steps are capped at a fraction of the current sup-norm instead of being
@@ -159,6 +171,10 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     system the Jacobian is indefinite and residual-monotone damping stalls,
     while capped full steps retain quadratic convergence once inside the
     basin.  Stops at a rounding-floor tolerance well below residual_tol.
+
+    `_monotone` turns the iteration into a contraction test for the
+    sublinear handoff: it stops, unconverged, at the first iterate that is
+    not strictly positive or whose residual is not below the previous one.
     """
     _require_not_resonant(exps)
     p, q = exps.pf, exps.qf
@@ -173,13 +189,19 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     for it in range(cfg.newton_max_iter):
         up, vp = np.maximum(u, 0.0), np.maximum(v, 0.0)
         f = np.concatenate([op.apply(u) - vp**p, op.apply(v) - up**q])
-        res = float(np.max(np.abs(f)))
+        res, previous = float(np.max(np.abs(f))), res
         trace.append({"stage": "newton", "iter": it, "residual": res})
+        if _monotone and not (np.min(u) > 0.0 and np.min(v) > 0.0):
+            return _pair(op, u, v, exps, False, "newton_polish", it, trace,
+                         message=f"lost positivity at iteration {it}")
+        if _monotone and not res < previous:
+            return _pair(op, u, v, exps, False, "newton_polish", it, trace,
+                         message=f"no contraction at iteration {it}")
         if res <= tol:
             return _pair(op, u, v, exps, True, "newton_polish", it, trace)
         jac = np.block([
-            [op.matrix, -np.diag(p * vp ** (p - 1.0))],
-            [-np.diag(q * up ** (q - 1.0)), op.matrix],
+            [op.matrix, -np.diag(_power_derivative(v, p))],
+            [-np.diag(_power_derivative(u, q)), op.matrix],
         ])
         try:
             step = np.linalg.solve(jac, -f)
@@ -208,56 +230,82 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
 # direct minimization (pq < 1)
 
 
-def _descent_direction(op: FractionalOperator, g: np.ndarray) -> np.ndarray:
-    # Preconditioning by the inverse operator: A is SPD, so -A^{-1}(g/w) is a
-    # descent direction and removes the grid-dependent stiffness of A.
-    return -op.solve(g / op.grid.weights)
-
-
 def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
                        cfg: SolverConfig = SolverConfig()) -> SolutionPair:
     """Direct minimization for pq < 1: Armijo-backtracked preconditioned
-    descent through the smoothing schedule, then a Newton polish.
+    descent through the smoothing schedule, handed to Newton as soon as a
+    trial Newton run contracts.
 
     The energy is coercive and bounded below in this regime; the minimizer
     is interior and strictly positive, which is asserted, not enforced.
+
+    Each descent step costs two matvecs and one solve: the loop carries
+    A u, the defect r = A sigma_eps(A u) - (u_+)^q is both the stationarity
+    measure and the gradient w r (the grid weights are uniform), the
+    direction is -A^{-1} r, and Armijo trials use A(u + a d) = A u + a A d.
+
+    After 5, 10, 20, 40, ... descent steps a Newton trial starts from
+    (u, recover_v(u)).  It is accepted only if every iterate, the start
+    included, is strictly positive, every residual is below the previous
+    one, and the polish tolerance is reached; otherwise the descent resumes
+    where it was.  `max_iter` is therefore a ceiling: when it runs out, the final
+    polish is the plain capped Newton iteration.  Every trial is logged in
+    the trace as a "newton_handoff" entry with its outcome.
     """
     _require_not_resonant(exps)
     if exps.pq > 1:
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
+    p, q = exps.pf, exps.qf
+    w = op.grid.weights
     u = initial_guess(op.grid, cfg)
     trace = []
-    total_evals = 0
+    steps = 0
+    checkpoint = 5  # descent steps before the next Newton trial
     per_stage = max(1, cfg.max_iter // max(len(cfg.smoothing_schedule), 1))
     for eps in cfg.smoothing_schedule:
         stage_tol = max(cfg.gradient_tol * op.scale, 0.02 * eps)
-        phi = energy(op, u, exps, eps).value
+        au = op.apply(u)  # recomputed per stage to bound the drift of the carried product
+        phi = energy(op, u, exps, eps, au=au).value
         for _ in range(per_stage):
-            rel = euler_lagrange_residual(op, u, exps, eps)
+            r = op.apply(smoothed_power(au, eps, p)) - np.maximum(u, 0.0) ** q
+            rel = float(np.max(np.abs(r)))
+            if steps == checkpoint:
+                checkpoint *= 2
+                trial = newton_polish(op, u, recover_v(op, u, q), exps, cfg, _monotone=True)
+                trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
+                              "stationarity": rel,
+                              "outcome": "accepted" if trial.converged else trial.message})
+                if trial.converged:
+                    return _finish_sublinear(trial, trace, steps, cfg)
             if rel <= stage_tol:
                 break
-            g = energy_gradient(op, u, exps, eps)
-            direction = _descent_direction(op, g)
+            g = w * r
+            direction = -op.solve(r)  # A is SPD: a descent direction free of A's stiffness
             slope = float(np.dot(g, direction))
             if slope >= 0.0:
                 break  # numerically stationary
+            ad = op.apply(direction)
             alpha = 1.0
             for _ in range(60):
                 candidate = u + alpha * direction
-                phi_new = energy(op, candidate, exps, eps).value
+                au_new = au + alpha * ad
+                phi_new = energy(op, candidate, exps, eps, au=au_new).value
                 if phi_new <= phi + cfg.armijo * alpha * slope:
                     break
                 alpha *= 0.5
-            u = candidate
-            phi = phi_new
-            total_evals += 1
-            trace.append({"stage": f"descent_eps={eps:g}", "iter": total_evals,
+            u, au, phi = candidate, au_new, phi_new
+            steps += 1
+            trace.append({"stage": f"descent_eps={eps:g}", "iter": steps,
                           "energy": phi, "stationarity": rel})
-    v = recover_v(op, u, exps.qf)
-    polished = newton_polish(op, u, v, exps, cfg)
+    polished = newton_polish(op, u, recover_v(op, u, q), exps, cfg)
+    return _finish_sublinear(polished, trace, steps, cfg)
+
+
+def _finish_sublinear(polished: SolutionPair, trace: list, steps: int,
+                      cfg: SolverConfig) -> SolutionPair:
     result = replace(polished, method="minimize_sublinear",
                      trace=trace + polished.trace,
-                     iterations=total_evals + polished.iterations)
+                     iterations=steps + polished.iterations)
     _accept_or_raise(result, cfg)
     return result
 
@@ -333,7 +381,8 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             j = 1 + int(np.argmax(energies[1:m]))
             ridge = path[j]
             g = energy_gradient(op, ridge, exps, eps)
-            direction = _descent_direction(op, g)
+            # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
+            direction = -op.solve(g / op.grid.weights)
             cap = cfg.mp_step_fraction * max(float(np.max(np.abs(ridge))), 1e-3 * t)
             alpha = min(1.0, cap / max(float(np.max(np.abs(direction))), 1e-300))
             phi0 = energies[j]

@@ -164,6 +164,24 @@ def test_nonconvergence_exits_2_with_record(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_failed_second_start_exits_2_with_first_pair_record(tmp_path, capsys):
+    out = tmp_path / "second"
+    code = run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 32,
+               "--second-init", "zero", "--outdir", out)
+    assert code == 2
+    record = json.loads((out / "record.json").read_text())
+    assert set(record) == set(RECORD_FIELDS)
+    # the first (bump) start converged and its record is complete
+    assert record["converged"] is True
+    assert record["min_u"] > 0 and record["min_v"] > 0
+    assert record["rellich_residual"] is not None
+    assert record["uniqueness_gap_u"] is None and record["uniqueness_gap_v"] is None
+    assert record["verdict"].startswith("nonconvergence: second start 'zero'")
+    assert "non-positive pair" in record["verdict"]
+    assert not (out / "solution.csv").exists()
+    capsys.readouterr()
+
+
 def test_supercritical_convergence_is_flagged_as_artifact(tmp_path):
     out = tmp_path / "artifact"
     code = run("solve", "--domain-kind", "disk", "--radius", 1.0, "--resolution", 16,

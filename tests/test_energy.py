@@ -131,6 +131,15 @@ def test_energy_report_parts_are_consistent(setup64):
     assert rep.e_norm == pytest.approx(raw_kinetic ** (3.0 / 4.0), rel=1e-12)
 
 
+def test_energy_accepts_a_precomputed_product(setup64):
+    grid, op = setup64
+    u = 1.0 - grid.x[:, 0] ** 2
+    for eps in (0.0, 1e-3):
+        direct = energy(op, u, ExponentPair(0.5, 2.0), smoothing=eps)
+        carried = energy(op, u, ExponentPair(0.5, 2.0), smoothing=eps, au=op.apply(u))
+        assert carried == direct
+
+
 def test_energy_homogeneity_without_smoothing(setup64):
     grid, op = setup64
     u = np.maximum(1.0 - grid.x[:, 0] ** 2, 0.0)

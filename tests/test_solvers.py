@@ -110,6 +110,18 @@ def test_newton_polish_rejects_resonant_pair(setup64):
         newton_polish(op, start, start, ExponentPair(1.0, 1.0))
 
 
+def test_newton_polish_jacobian_finite_where_positive_part_vanishes(setup64):
+    # q < 1: the derivative of (u_+)^q is infinite at u = 0 from the right;
+    # the Jacobian takes the one-sided value 0 there instead.
+    grid, op = setup64
+    u = np.maximum(1.0 - grid.x[:, 0] ** 2, 0.0)
+    u[0] = 0.0
+    v = recover_v(op, u, 0.25)
+    pair = newton_polish(op, u, v, ExponentPair(2.0, 0.25))
+    assert pair.accepted
+    assert pair.iterations <= 4
+
+
 # ---------------------------------------------------------------------------
 # direct minimization (pq < 1)
 
@@ -139,6 +151,42 @@ def test_minimize_independent_of_initial_guess(op128, sublinear_pair_128):
                                SolverConfig(init="random", seed=4))
     gap = np.max(np.abs(other.u - sublinear_pair_128.u)) / np.max(sublinear_pair_128.u)
     assert gap <= 1e-9
+
+
+def _handoffs(pair):
+    return [e for e in pair.trace if e["stage"] == "newton_handoff"]
+
+
+def test_minimize_hands_off_to_newton_early(sublinear_pair_128):
+    cfg = SolverConfig()
+    pair = sublinear_pair_128
+    descent = [e for e in pair.trace if e["stage"].startswith("descent")]
+    assert len(descent) <= 40
+    per_stage = cfg.max_iter // len(cfg.smoothing_schedule)
+    for eps in cfg.smoothing_schedule:
+        assert sum(e["stage"] == f"descent_eps={eps:g}" for e in descent) < per_stage
+    handoffs = _handoffs(pair)
+    assert [h["outcome"] for h in handoffs].count("accepted") == 1
+    assert handoffs[-1]["outcome"] == "accepted"
+    assert handoffs[-1]["iter"] == len(descent)
+
+
+def test_minimize_2d_asymmetric_random_start_falls_back_then_hands_off():
+    # p < 1 < q on a rectangle: early Newton trials from a random start
+    # leave the positive cone and the descent has to resume.
+    grid = build_grid(Domain.rectangle(2.0, 1.0), 16)
+    op = assemble(grid, 0.5)
+    exps = ExponentPair(0.25, 2.0)
+    ref = minimize_sublinear(op, exps, SolverConfig(init="bump"))
+    assert ref.accepted
+    for seed in (0, 1):
+        pair = minimize_sublinear(op, exps, SolverConfig(init="random", seed=seed))
+        assert pair.accepted
+        assert np.max(np.abs(pair.u - ref.u)) <= 1e-9 * np.max(np.abs(ref.u))
+        assert np.max(np.abs(pair.v - ref.v)) <= 1e-9 * np.max(np.abs(ref.v))
+        outcomes = [h["outcome"] for h in _handoffs(pair)]
+        assert outcomes[-1] == "accepted"
+        assert len(outcomes) >= 2 and "accepted" not in outcomes[:-1]
 
 
 def test_minimize_zero_start_is_reported_not_accepted(setup64):
