@@ -51,7 +51,6 @@ from .operator import (
     dump_matrix,
     normalization_constant,
     normalization_constant_quadrature,
-    solve_linear,
 )
 from .solvers import (
     SolutionPair,
@@ -75,7 +74,7 @@ __all__ = [
     "smoothed_density", "smoothed_power",
     "ConfigurationError", "FraclaneError", "NonconvergenceError", "ResonantProblemError",
     "FractionalOperator", "assemble", "ball_torsion_constant", "dump_matrix",
-    "normalization_constant", "normalization_constant_quadrature", "solve_linear",
+    "normalization_constant", "normalization_constant_quadrature",
     "SolutionPair", "SolverConfig", "initial_guess", "minimize_sublinear",
     "mountain_pass", "newton_polish", "recover_v", "solve_system",
 ]

@@ -23,7 +23,7 @@ from scipy.special import gamma
 from .domains import BoundaryTrace, Grid, boundary_trace
 from .energy import ExponentPair
 from .errors import ConfigurationError
-from .operator import FractionalOperator, solve_linear
+from .operator import FractionalOperator
 
 EPS_FLOOR = 1e-14  # relative-residual denominators (the critical case has rhs exactly 0)
 
@@ -224,7 +224,8 @@ class RellichReport:
     int u^(q+1), which is zero for exact solutions.  The sign of rhs_factor
     is what rules out positive solutions on star-shaped domains at and above
     the critical curve: the left side is strictly positive there while the
-    right side is <= 0."""
+    right side is <= 0.  quotient_u and quotient_v are the mean boundary
+    factors u/d^s and v/d^s of the two fits."""
 
     lhs: float
     rhs: float
@@ -234,6 +235,8 @@ class RellichReport:
     star_shaped: bool
     corners_dropped: bool
     boundary_fit_failures: int
+    quotient_u: float
+    quotient_v: float
 
 
 def rellich_residual(pair, exps: ExponentPair, grid: Grid, s: float) -> RellichReport:
@@ -261,6 +264,7 @@ def rellich_residual(pair, exps: ExponentPair, grid: Grid, s: float) -> RellichR
         star_shaped=grid.domain.is_star_shaped_wrt_origin(),
         corners_dropped=tr.corners_dropped,
         boundary_fit_failures=int(np.sum(~both)),
+        quotient_u=fit_u.aggregate, quotient_v=fit_v.aggregate,
     )
 
 
@@ -326,7 +330,7 @@ def maximum_principle_audit(op: FractionalOperator, trials: int = 100, seed: int
             f = np.where(keep, f, 0.0)
             if not np.any(f > 0):
                 f[int(rng.integers(0, n))] = 1.0
-        w = solve_linear(op, f)
+        w = op.solve(f)
         wmin = float(np.min(w))
         if wmin > 0.0:
             passes += 1

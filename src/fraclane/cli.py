@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     boundary_exponent_fit,
-    boundary_quotient,
+    boundary_quotient,  # noqa: F401  (unused here; perfbench/spans.py traces cli.boundary_quotient)
     classify,
     maximum_principle_audit,
     operator_invariants,
@@ -244,8 +244,7 @@ def _run_solve(cfg: dict) -> tuple:
     record["rellich_fit_failures"] = rel.boundary_fit_failures
     record["alpha_u"] = boundary_exponent_fit(np.maximum(pair.u, 0.0), grid).aggregate
     record["alpha_v"] = boundary_exponent_fit(np.maximum(pair.v, 0.0), grid).aggregate
-    record["quotient_u"] = boundary_quotient(np.maximum(pair.u, 0.0), grid, cfg["s"]).aggregate
-    record["quotient_v"] = boundary_quotient(np.maximum(pair.v, 0.0), grid, cfg["s"]).aggregate
+    record["quotient_u"], record["quotient_v"] = rel.quotient_u, rel.quotient_v
     if cfg["second_init"]:
         try:
             pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]), cfg["solver"])

@@ -170,12 +170,15 @@ def energy(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
 
 
 def energy_gradient(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
-                    smoothing: float = 0.0) -> np.ndarray:
+                    smoothing: float = 0.0, au: np.ndarray | None = None) -> np.ndarray:
     """Quadrature-weighted gradient: g = A (w sigma_eps(A u)) - w (u_+)^q,
-    so that <g, phi> is the directional derivative of the smoothed energy."""
+    so that <g, phi> is the directional derivative of the smoothed energy.
+
+    As in `energy`, a caller holding A u passes it as `au`."""
     p, q = exps.pf, exps.qf
     w = op.grid.weights
-    au = op.apply(u)
+    if au is None:
+        au = op.apply(u)
     return op.apply(w * smoothed_power(au, smoothing, p)) - w * np.maximum(u, 0.0) ** q
 
 

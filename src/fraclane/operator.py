@@ -34,7 +34,6 @@ __all__ = [
     "ball_torsion_constant",
     "FractionalOperator",
     "assemble",
-    "solve_linear",
     "dump_matrix",
 ]
 
@@ -207,7 +206,10 @@ class FractionalOperator:
         return self._factor
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor(), f)
+        """Solve A w = f by the cached Cholesky factor.  No finiteness scan:
+        the factor comes from the assembled, finite matrix, and a
+        non-finite f gives a non-finite w instead of an error."""
+        return cho_solve(self.factor(), f, check_finite=False)
 
     @property
     def scale(self) -> float:
@@ -262,11 +264,6 @@ def _add_singular_correction(matrix: np.ndarray, grid: Grid, s: float, c: float)
                     matrix[i, j] -= coeff
                 # neighbours outside the domain hold the value 0; their
                 # term is simply absent
-
-
-def solve_linear(op: FractionalOperator, f: np.ndarray) -> np.ndarray:
-    """Solve A w = f by the operator's cached Cholesky factorization."""
-    return op.solve(np.asarray(f, dtype=float))
 
 
 def dump_matrix(op: FractionalOperator, path) -> None:

@@ -32,7 +32,7 @@ from .energy import (
     smoothed_power,
 )
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
-from .operator import FractionalOperator, solve_linear
+from .operator import FractionalOperator
 
 __all__ = [
     "SolverConfig",
@@ -130,7 +130,7 @@ def initial_guess(grid: Grid, cfg: SolverConfig) -> np.ndarray:
 
 def recover_v(op: FractionalOperator, u: np.ndarray, q: float) -> np.ndarray:
     """Partner function: the linear solve A v = (u_+)^q."""
-    return solve_linear(op, np.maximum(u, 0.0) ** float(q))
+    return op.solve(np.maximum(u, 0.0) ** float(q))
 
 
 def residuals(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
@@ -166,6 +166,16 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                   *, _monotone: bool = False) -> SolutionPair:
     """Newton iteration on F(u,v) = (A u - (v_+)^p, A v - (u_+)^q).
 
+    The step never forms the 2N x 2N Jacobian [[A, -D_v], [-D_u, A]]
+    (D_v = diag p v_+^(p-1), D_u = diag q u_+^(q-1)).  It LU-solves the
+    N x N Schur complement S = A - D_u A^{-1} D_v instead:
+
+        S s_v = -f_v - D_u A^{-1} f_u,    s_u = A^{-1} (D_v s_v - f_u),
+
+    with A^{-1} formed once per call from the cached Cholesky factor when
+    the first step is taken.  A is SPD, so S is singular exactly when the
+    Jacobian is.
+
     Steps are capped at a fraction of the current sup-norm instead of being
     damped by a residual-decrease rule: near the saddle points of this
     system the Jacobian is indefinite and residual-monotone damping stalls,
@@ -178,7 +188,6 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     """
     _require_not_resonant(exps)
     p, q = exps.pf, exps.qf
-    m = op.n_nodes
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     floor = 1e-11 * max(1.0, float(np.max(np.abs(op.apply(u)))),
@@ -186,10 +195,11 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     tol = min(max(cfg.residual_tol * 1e-3, floor), cfg.residual_tol)
     trace = []
     res = np.inf
+    ainv = None
     for it in range(cfg.newton_max_iter):
         up, vp = np.maximum(u, 0.0), np.maximum(v, 0.0)
-        f = np.concatenate([op.apply(u) - vp**p, op.apply(v) - up**q])
-        res, previous = float(np.max(np.abs(f))), res
+        f_u, f_v = op.apply(u) - vp**p, op.apply(v) - up**q
+        res, previous = max(float(np.max(np.abs(f_u))), float(np.max(np.abs(f_v)))), res
         trace.append({"stage": "newton", "iter": it, "residual": res})
         if _monotone and not (np.min(u) > 0.0 and np.min(v) > 0.0):
             return _pair(op, u, v, exps, False, "newton_polish", it, trace,
@@ -199,12 +209,16 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                          message=f"no contraction at iteration {it}")
         if res <= tol:
             return _pair(op, u, v, exps, True, "newton_polish", it, trace)
-        jac = np.block([
-            [op.matrix, -np.diag(_power_derivative(v, p))],
-            [-np.diag(_power_derivative(u, q)), op.matrix],
-        ])
+        if ainv is None:
+            ainv = op.solve(np.eye(op.n_nodes))
+            schur = np.empty_like(ainv)
+        du, dv = _power_derivative(u, q), _power_derivative(v, p)
+        np.multiply(du[:, None], ainv, out=schur)
+        schur *= dv
+        np.subtract(op.matrix, schur, out=schur)
+        ainv_fu = ainv @ f_u
         try:
-            step = np.linalg.solve(jac, -f)
+            step_v = np.linalg.solve(schur, -f_v - du * ainv_fu)
         except np.linalg.LinAlgError as exc:
             if exps.pq == 1:
                 raise ResonantProblemError(
@@ -213,10 +227,12 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                 ) from exc
             return _pair(op, u, v, exps, False, "newton_polish", it, trace,
                          message=f"singular Jacobian at iteration {it}")
+        step_u = ainv @ (dv * step_v) - ainv_fu
         cap = cfg.newton_step_cap * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
-        scale = min(1.0, cap / max(float(np.max(np.abs(step))), 1e-300))
-        u += scale * step[:m]
-        v += scale * step[m:]
+        step_sup = max(float(np.max(np.abs(step_u))), float(np.max(np.abs(step_v))))
+        scale = min(1.0, cap / max(step_sup, 1e-300))
+        u += scale * step_u
+        v += scale * step_v
     if exps.pq == 1:
         raise ResonantProblemError(
             "Newton did not converge and p*q = 1: the problem is resonant "
@@ -337,6 +353,18 @@ def _resample_path(path: list) -> list:
     return out
 
 
+def _path_max(op: FractionalOperator, path: list, exps: ExponentPair, eps: float) -> tuple:
+    """The maximal-energy interior node of the path: (index, energy, A node).
+
+    The endpoints are fixed and never the maximum, so their energies are not
+    evaluated."""
+    products = [op.apply(node) for node in path[1:-1]]
+    energies = [energy(op, node, exps, eps, au=an).value
+                for node, an in zip(path[1:-1], products)]
+    k = int(np.argmax(energies))
+    return 1 + k, energies[k], products[k]
+
+
 def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                   cfg: SolverConfig = SolverConfig(),
                   allow_any_superlinear: bool = False) -> SolutionPair:
@@ -375,17 +403,14 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     m = cfg.path_nodes
     for restart in range(cfg.max_restarts + 1):
         path = [(j / m) * t * bump for j in range(m + 1)]
-        ridge = path[1]
         for sweep in range(sweeps_budget):
-            energies = [energy(op, node, exps, eps).value for node in path]
-            j = 1 + int(np.argmax(energies[1:m]))
+            j, phi0, a_ridge = _path_max(op, path, exps, eps)
             ridge = path[j]
-            g = energy_gradient(op, ridge, exps, eps)
+            g = energy_gradient(op, ridge, exps, eps, au=a_ridge)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
             direction = -op.solve(g / op.grid.weights)
             cap = cfg.mp_step_fraction * max(float(np.max(np.abs(ridge))), 1e-3 * t)
             alpha = min(1.0, cap / max(float(np.max(np.abs(direction))), 1e-300))
-            phi0 = energies[j]
             slope = float(np.dot(g, direction))
             for _ in range(40):
                 candidate = ridge + alpha * direction
@@ -398,10 +423,9 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                 trace.append({"stage": f"mountain_pass_restart{restart}", "iter": sweep,
                               "energy": phi0,
                               "stationarity": euler_lagrange_residual(op, ridge, exps, eps)})
-        energies = [energy(op, node, exps, eps).value for node in path]
-        j = 1 + int(np.argmax(energies[1:m]))
+        j, _, a_ridge = _path_max(op, path, exps, eps)
         ridge = path[j]
-        v0 = np.maximum(smoothed_power(op.apply(ridge), eps, exps.pf), 0.0)
+        v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
         polished = newton_polish(op, ridge, v0, exps, cfg)
         collapsed = (not polished.converged
                      or float(np.max(np.abs(polished.u))) <= 1e-6 * t

@@ -23,7 +23,6 @@ from fraclane import (
     build_grid,
     normalization_constant,
     normalization_constant_quadrature,
-    solve_linear,
     solve_system,
 )
 from fraclane.analysis import (
@@ -57,7 +56,7 @@ def test_criterion_02_interval_torsion_error_and_refinement():
     for resolution in (128, 256, 512):
         grid = build_grid(domain, resolution)
         op = assemble(grid, 0.5)
-        w = solve_linear(op, np.ones(grid.n_nodes))
+        w = op.solve(np.ones(grid.n_nodes))
         exact = oracles.torsion_solution(grid.x[:, 0], 1, 0.5)
         errors[resolution] = float(np.max(np.abs(w - exact)) / np.max(exact))
     elapsed = time.perf_counter() - t0

@@ -160,6 +160,13 @@ def test_rellich_identity_on_computed_superlinear_pair(superlinear_pair_128, gri
     assert rep.boundary_fit_failures == 0
 
 
+def test_rellich_report_carries_the_boundary_quotients(superlinear_pair_128, grid128):
+    pair = superlinear_pair_128
+    rep = rellich_residual(pair, ExponentPair(3.0, 3.0), grid128, 0.5)
+    assert rep.quotient_u == boundary_quotient(np.maximum(pair.u, 0.0), grid128, 0.5).aggregate
+    assert rep.quotient_v == boundary_quotient(np.maximum(pair.v, 0.0), grid128, 0.5).aggregate
+
+
 def test_rellich_identity_on_computed_sublinear_pair(sublinear_pair_128, grid128):
     rep = rellich_residual(sublinear_pair_128, ExponentPair(0.5, 0.5), grid128, 0.5)
     assert rep.rhs_factor == pytest.approx(4.0 / 3.0)

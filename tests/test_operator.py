@@ -16,7 +16,6 @@ from fraclane import (
     dump_matrix,
     normalization_constant,
     normalization_constant_quadrature,
-    solve_linear,
 )
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_interval_torsion_solve_error_decreases():
     for res in (64, 128, 256):
         grid = build_grid(Domain.interval(-1.0, 1.0), res)
         op = assemble(grid, 0.5)
-        w = solve_linear(op, np.ones(grid.n_nodes))
+        w = op.solve(np.ones(grid.n_nodes))
         exact = oracles.torsion_solution(grid.x, 1, 0.5)
         errors[res] = np.max(np.abs(w - exact)) / np.max(exact)
     assert errors[64] > errors[128] > errors[256]
@@ -147,7 +146,7 @@ def test_interval_torsion_other_orders():
     grid = build_grid(Domain.interval(-1.0, 1.0), 256)
     for s in (0.3, 0.7):
         op = assemble(grid, s)
-        w = solve_linear(op, np.ones(grid.n_nodes))
+        w = op.solve(np.ones(grid.n_nodes))
         exact = oracles.torsion_solution(grid.x, 1, s)
         rel = np.max(np.abs(w - exact)) / np.max(exact)
         assert rel <= 0.05, (s, rel)
@@ -158,7 +157,7 @@ def test_disk_torsion_solve_converges():
     for res in (16, 32, 64):
         grid = build_grid(Domain.disk(1.0), res)
         op = assemble(grid, 0.5)
-        w = solve_linear(op, np.ones(grid.n_nodes))
+        w = op.solve(np.ones(grid.n_nodes))
         exact = oracles.torsion_solution(grid.x, 2, 0.5)
         l2s[res] = grid.lr_norm(w - exact, 2.0) / grid.lr_norm(exact, 2.0)
         bulk = grid.d > 0.25
@@ -203,10 +202,10 @@ def test_green_function_probe():
 # linear solve, positivity, dumps
 
 
-def test_solve_linear_residual_is_tiny(op128, grid128):
+def test_solve_residual_is_tiny(op128, grid128):
     rng = np.random.default_rng(11)
     f = rng.uniform(0.0, 1.0, grid128.n_nodes)
-    w = solve_linear(op128, f)
+    w = op128.solve(f)
     assert np.max(np.abs(op128.apply(w) - f)) <= 1e-10 * op128.scale
 
 
@@ -215,10 +214,10 @@ def test_nonnegative_data_gives_positive_solution(op64, grid64):
     for _ in range(20):
         f = rng.uniform(0.0, 1.0, grid64.n_nodes)
         f[rng.integers(0, grid64.n_nodes, 10)] = 0.0
-        assert np.all(solve_linear(op64, f) > 0)
+        assert np.all(op64.solve(f) > 0)
     point = np.zeros(grid64.n_nodes)
     point[5] = 1.0
-    assert np.all(solve_linear(op64, point) > 0)  # nonlocal spreading
+    assert np.all(op64.solve(point) > 0)  # nonlocal spreading
 
 
 def test_singular_correction_improves_local_limit():

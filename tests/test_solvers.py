@@ -1,9 +1,12 @@
 """Solver pipelines: initial states, Newton finishing, direct minimization,
 path deformation, dispatch, and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fraclane.solvers
 import oracles
 from fraclane import (
     ConfigurationError,
@@ -120,6 +123,69 @@ def test_newton_polish_jacobian_finite_where_positive_part_vanishes(setup64):
     pair = newton_polish(op, u, v, ExponentPair(2.0, 0.25))
     assert pair.accepted
     assert pair.iterations <= 4
+
+
+def _one_sided_derivative(x, e):
+    d = np.zeros_like(x)
+    d[x > 0] = e * x[x > 0] ** (e - 1.0)
+    return d
+
+
+def _block_newton_step(op, u, v, p, q):
+    """The full Newton step from the assembled 2N x 2N Jacobian: the oracle
+    for the eliminated step inside newton_polish."""
+    f = np.concatenate([op.apply(u) - np.maximum(v, 0.0) ** p,
+                        op.apply(v) - np.maximum(u, 0.0) ** q])
+    jac = np.block([
+        [op.matrix, -np.diag(_one_sided_derivative(v, p))],
+        [-np.diag(_one_sided_derivative(u, q)), op.matrix],
+    ])
+    return np.linalg.solve(jac, -f)
+
+
+def _newton_step_cases():
+    grid = build_grid(Domain.interval(-1.0, 1.0), 64)
+    op = assemble(grid, 0.5)
+    u = np.maximum(1.0 - grid.x[:, 0] ** 2, 0.0)
+    u[0] = 0.0  # the one-sided derivative branch of (u_+)^(1/4)
+    yield op, u, recover_v(op, u, 0.25), ExponentPair(2.0, 0.25)
+
+    disk = build_grid(Domain.disk(1.0), 12)
+    op = assemble(disk, 0.5)
+    u = 2.0 * initial_guess(disk, SolverConfig(init="bump"))
+    yield op, u, 0.8 * u, ExponentPair(2.0, 2.0)
+
+
+def test_newton_step_matches_full_jacobian_solve():
+    # one uncapped iteration: the returned pair is the start plus one step
+    cfg = SolverConfig(newton_max_iter=1, newton_step_cap=1e6)
+    for op, u, v, exps in _newton_step_cases():
+        m = op.n_nodes
+        pair = newton_polish(op, u, v, exps, cfg)
+        assert not pair.converged and pair.iterations == 1
+        step = np.concatenate([pair.u - u, pair.v - v])
+        ref = _block_newton_step(op, u, v, exps.pf, exps.qf)
+        assert step.shape == (2 * m,)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_polish_allocates_no_block_jacobian():
+    # the 2N x 2N Jacobian alone is 4 N^2 doubles; the elimination keeps
+    # A^{-1} and the N x N Schur complement (plus a transient identity)
+    grid = build_grid(Domain.interval(-1.0, 1.0), 600)
+    op = assemble(grid, 0.5)
+    op.factor()  # the operator's cached factor is not newton_polish's allocation
+    shape = np.sqrt(1.0 - grid.x[:, 0] ** 2)
+    tracemalloc.start()
+    try:
+        pair = newton_polish(op, 3.0 * shape, 2.0 * shape, ExponentPair(2.0, 2.0),
+                             SolverConfig(newton_max_iter=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.iterations == 2  # two steps were taken
+    n = op.n_nodes
+    assert peak < 4 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +305,35 @@ def test_mountain_pass_asymmetric_exponents(setup64):
     assert pair.energy.value > 0
     # partner equation holds: A v = u^q to the same residual scale
     assert pair.residual_v <= 1e-10 * op.scale
+
+
+def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
+    # Per sweep: one product per interior node (reused by the ridge's energy
+    # and gradient), one more inside the gradient, one per Armijo trial, and
+    # two per logged stationarity.  Endpoint energies are never evaluated,
+    # and the polish seed reuses the ridge's product: 3 matvecs fewer per
+    # sweep and per attempt than evaluating every node and the gradient
+    # from scratch (1236 for this case).
+    grid, _ = setup64
+    op = assemble(grid, 0.5)
+    calls = {"apply": 0, "gradient": 0}
+    apply, gradient = op.apply, fraclane.solvers.energy_gradient
+
+    def counting_apply(u):
+        calls["apply"] += 1
+        return apply(u)
+
+    def counting_gradient(*args, **kwargs):
+        calls["gradient"] += 1
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(op, "apply", counting_apply)
+    monkeypatch.setattr(fraclane.solvers, "energy_gradient", counting_gradient)
+    pair = mountain_pass(op, ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
+    assert pair.accepted
+    assert not any(e["iter"] == -1 for e in pair.trace)  # one attempt, no restart
+    assert calls["gradient"] == 40  # exactly one gradient per sweep
+    assert calls["apply"] == 1236 - 3 * 40 - 3
 
 
 # ---------------------------------------------------------------------------
