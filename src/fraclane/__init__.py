@@ -22,7 +22,6 @@ from .analysis import (
     UniquenessReport,
     boundary_exponent_fit,
     boundary_quotient,
-    classify,
     maximum_principle_audit,
     operator_invariants,
     rellich_residual,
@@ -34,6 +33,7 @@ from .energy import (
     ExponentPair,
     energy,
     energy_gradient,
+    energy_value,
     euler_lagrange_residual,
     smoothed_density,
     smoothed_power,
@@ -48,7 +48,6 @@ from .operator import (
     FractionalOperator,
     assemble,
     ball_torsion_constant,
-    dump_matrix,
     normalization_constant,
     normalization_constant_quadrature,
 )
@@ -66,14 +65,15 @@ from .solvers import (
 __all__ = [
     "__version__",
     "AuditReport", "BoundaryFit", "RellichReport", "UniquenessReport",
-    "boundary_exponent_fit", "boundary_quotient", "classify",
+    "boundary_exponent_fit", "boundary_quotient",
     "maximum_principle_audit", "operator_invariants", "rellich_residual",
     "uniqueness_gap",
     "BoundaryTrace", "Domain", "Grid", "boundary_trace", "build_grid", "resample_nested",
-    "EnergyReport", "ExponentPair", "energy", "energy_gradient", "euler_lagrange_residual",
+    "EnergyReport", "ExponentPair", "energy", "energy_gradient", "energy_value",
+    "euler_lagrange_residual",
     "smoothed_density", "smoothed_power",
     "ConfigurationError", "FraclaneError", "NonconvergenceError", "ResonantProblemError",
-    "FractionalOperator", "assemble", "ball_torsion_constant", "dump_matrix",
+    "FractionalOperator", "assemble", "ball_torsion_constant",
     "normalization_constant", "normalization_constant_quadrature",
     "SolutionPair", "SolverConfig", "initial_guess", "minimize_sublinear",
     "mountain_pass", "newton_polish", "recover_v", "solve_system",

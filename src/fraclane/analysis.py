@@ -1,6 +1,5 @@
-"""Verification battery: regime classification, boundary-behavior fits, the
-boundary/interior integral identity, uniqueness diagnostics, and the maximum
-principle audit.
+"""Verification battery: boundary-behavior fits, the boundary/interior
+integral identity, uniqueness diagnostics, and the maximum principle audit.
 
 The boundary fits share one geometric convention: along the inward normal of
 each boundary trace point, samples sit at distances (k - 1/2) * h_ray,
@@ -28,7 +27,6 @@ from .operator import FractionalOperator
 EPS_FLOOR = 1e-14  # relative-residual denominators (the critical case has rhs exactly 0)
 
 __all__ = [
-    "classify",
     "BoundaryFit",
     "boundary_quotient",
     "boundary_exponent_fit",
@@ -40,13 +38,6 @@ __all__ = [
     "maximum_principle_audit",
     "operator_invariants",
 ]
-
-
-def classify(exps: ExponentPair, n: int, s) -> str:
-    """Regime label for the exponent pair: sublinear, resonant,
-    superlinear_subcritical, critical, or supercritical.  Exact arithmetic
-    when p, q, s are rational."""
-    return exps.regime(n, s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -31,7 +32,6 @@ from . import __version__
 from .analysis import (
     boundary_exponent_fit,
     boundary_quotient,  # noqa: F401  (unused here; perfbench/spans.py traces cli.boundary_quotient)
-    classify,
     maximum_principle_audit,
     operator_invariants,
     rellich_residual,
@@ -169,10 +169,6 @@ def _validated(cfg: dict) -> dict:
     }
     if out["p"] is None or out["q"] is None:
         raise ConfigurationError("config needs exponents 'p' and 'q'")
-    if out["p"] <= 0 or out["q"] <= 0:
-        raise ConfigurationError("exponents must be positive")
-    if not 0.0 < out["s"] < 1.0:
-        raise ConfigurationError(f"fractional order must lie in (0,1), got {out['s']}")
     if out["solver"] not in ("auto", "sublinear", "mountain_pass"):
         raise ConfigurationError(f"unknown solver {out['solver']!r}")
     if out["init"] not in ("zero", "bump", "random"):
@@ -200,23 +196,31 @@ def _empty_record(cfg: dict) -> dict:
     return record
 
 
-def _run_solve(cfg: dict) -> tuple:
+def _operator(cfg: dict):
+    """The assembled, factored operator of a validated config."""
+    grid = build_grid(_domain_from_config(cfg), cfg["resolution"])
+    op = assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
+    op.factor()
+    return op
+
+
+def _run_solve(cfg: dict, operator=_operator) -> tuple:
     """Full pipeline for one problem.  Returns (record, pair_or_None, grid);
-    the pair is None when any requested solve failed to converge."""
+    the pair is None when any requested solve failed to converge.
+    `operator(cfg)` supplies the factored operator."""
     t0 = time.perf_counter()
-    domain = _domain_from_config(cfg)
-    grid = build_grid(domain, cfg["resolution"])
     exps = ExponentPair(cfg["p"], cfg["q"])
-    regime = classify(exps, grid.dim, cfg["s"])
-    record = _empty_record(cfg)
-    record["regime"] = regime
-    record["n_nodes"] = grid.n_nodes
-    record["grid_h"] = list(grid.h)
+    regime = exps.regime(_domain_from_config(cfg).dim, cfg["s"])
     if regime == "resonant":
         raise ResonantProblemError(
             "p*q = 1 is resonant (eigenvalue problem); rejected before solving"
         )
-    op = assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
+    op = operator(cfg)
+    grid = op.grid
+    record = _empty_record(cfg)
+    record["regime"] = regime
+    record["n_nodes"] = grid.n_nodes
+    record["grid_h"] = list(grid.h)
     try:
         pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]), cfg["solver"])
     except NonconvergenceError as exc:
@@ -335,7 +339,7 @@ def cmd_classify(args) -> int:
     if not 1 <= n:
         raise ConfigurationError("dimension must be a positive integer")
     exps = ExponentPair(p, q)
-    regime = classify(exps, n, s)
+    regime = exps.regime(n, s)
     factor = exps.rhs_factor(n, s)
     print(f"regime: {regime}")
     print(f"rhs_factor: {float(factor):.12g}")
@@ -359,6 +363,15 @@ def cmd_phase_diagram(args) -> int:
         qs = [float(v) for v in args.q_list.split(",")]
         points = [(p, q) for p in ps for q in qs]
     outdir = cfg_base.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out")
+    # the points differ only in p and q, so they share one operator, built
+    # by the first point that needs it; the lock makes that safe for --jobs > 1
+    lock, shared = threading.Lock(), []
+
+    def operator(cfg):
+        with lock:
+            if not shared:
+                shared.append(_operator(cfg))
+            return shared[0]
 
     def run_point(index_point):
         index, (p, q) = index_point
@@ -367,7 +380,7 @@ def cmd_phase_diagram(args) -> int:
         cfg["outdir"] = outdir
         try:
             cfg = _validated(cfg)
-            record, _, _ = _run_solve(cfg)
+            record, _, _ = _run_solve(cfg, operator)
         except ResonantProblemError as exc:
             record = _empty_record(cfg)
             record["regime"] = "resonant"
@@ -420,9 +433,7 @@ def cmd_audit(args) -> int:
     cfg.setdefault("q", 2.0)
     cfg.setdefault("domain", {"kind": "interval", "endpoints": [-1.0, 1.0]})
     cfg = _validated(cfg)
-    domain = _domain_from_config(cfg)
-    grid = build_grid(domain, cfg["resolution"])
-    op = assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
+    op = _operator(cfg)
     struct = operator_invariants(op)
     audit = maximum_principle_audit(op, trials=args.trials, seed=cfg["seed"])
     for name, value in struct.items():

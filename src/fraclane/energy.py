@@ -152,21 +152,37 @@ def smoothed_power(t: np.ndarray, eps: float, p: float) -> np.ndarray:
     return (t * t + eps * eps) ** expo * t
 
 
+def _energy_terms(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
+                  smoothing: float, au: np.ndarray | None) -> tuple:
+    """Row-wise (int rho_eps(A u), kinetic, potential) of one grid function
+    or of a (k, N) stack.  The sums run along the last axis, so each row is
+    summed exactly as a single function is."""
+    p, q = exps.pf, exps.qf
+    w = op.grid.weights
+    if au is None:
+        au = op.apply(u)
+    raw_kin = np.sum(w * smoothed_density(au, smoothing, p), axis=-1)
+    potential = np.sum(w * np.maximum(u, 0.0) ** (q + 1.0), axis=-1) / (q + 1.0)
+    return raw_kin, p / (p + 1.0) * raw_kin, potential
+
+
 def energy(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
            smoothing: float = 0.0, au: np.ndarray | None = None) -> EnergyReport:
     """Evaluate the (optionally eps-smoothed) functional at u.
 
     A caller that already holds the product A u passes it as `au` and saves
     the matvec."""
-    p, q = exps.pf, exps.qf
-    w = op.grid.weights
-    if au is None:
-        au = op.apply(u)
-    raw_kin = float(np.sum(w * smoothed_density(au, smoothing, p)))
-    kinetic = p / (p + 1.0) * raw_kin
-    potential = float(np.sum(w * np.maximum(u, 0.0) ** (q + 1.0))) / (q + 1.0)
-    e_norm = raw_kin ** (p / (p + 1.0)) if raw_kin > 0 else 0.0
+    raw_kin, kinetic, potential = map(float, _energy_terms(op, u, exps, smoothing, au))
+    e_norm = raw_kin ** (exps.pf / (exps.pf + 1.0)) if raw_kin > 0 else 0.0
     return EnergyReport(kinetic - potential, kinetic, potential, e_norm, smoothing)
+
+
+def energy_value(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
+                 smoothing: float = 0.0, au: np.ndarray | None = None):
+    """`energy(...).value` without the report: a float for one grid function,
+    k values for a (k, N) stack (with `au` a stack too)."""
+    _, kinetic, potential = _energy_terms(op, u, exps, smoothing, au)
+    return kinetic - potential
 
 
 def energy_gradient(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,

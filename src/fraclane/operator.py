@@ -17,8 +17,6 @@ maximum principle used throughout.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
@@ -34,7 +32,6 @@ __all__ = [
     "ball_torsion_constant",
     "FractionalOperator",
     "assemble",
-    "dump_matrix",
 ]
 
 
@@ -198,7 +195,12 @@ class FractionalOperator:
         return self.matrix.shape[0]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
+        """A u, or for a (k, N) stack the k products as rows: one gemv per row
+        (matmul over a trailing unit axis), bitwise equal to the one-row
+        product, which a GEMM such as u @ A.T is not."""
+        if np.ndim(u) == 1:
+            return self.matrix @ u
+        return np.matmul(self.matrix, u[..., None])[..., 0]
 
     def factor(self):
         if self._factor is None:
@@ -265,11 +267,3 @@ def _add_singular_correction(matrix: np.ndarray, grid: Grid, s: float, c: float)
                 # neighbours outside the domain hold the value 0; their
                 # term is simply absent
 
-
-def dump_matrix(op: FractionalOperator, path) -> None:
-    """Binary debug dump: header (int64 dimension, float64 order, int64 node
-    count) followed by the dense matrix, row-major float64.  Not a stable
-    interchange format."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qdq", op.n, op.s, op.n_nodes))
-        fh.write(np.ascontiguousarray(op.matrix, dtype="<f8").tobytes())

@@ -28,6 +28,7 @@ from .energy import (
     ExponentPair,
     energy,
     energy_gradient,
+    energy_value,
     euler_lagrange_residual,
     smoothed_power,
 )
@@ -330,39 +331,35 @@ def _finish_sublinear(polished: SolutionPair, trace: list, steps: int,
 # mountain pass (pq > 1, subcritical)
 
 
-def _resample_path(path: list) -> list:
-    """Re-parametrize the piecewise-linear path uniformly by arclength.
+def _resample_path(path: np.ndarray) -> np.ndarray:
+    """Re-parametrize the piecewise-linear path (a node per row) uniformly by arclength.
 
     Keeps the path a connected curve while individual nodes are deformed;
     without it the deformed node slides off the ridge into the zero basin.
     """
     m = len(path) - 1
-    pts = np.stack(path)
-    seg = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+    seg = np.sqrt(np.sum(np.diff(path, axis=0) ** 2, axis=1))
     total = float(np.sum(seg))
     if total <= 0.0:
         return path
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, m + 1)
-    out = [path[0]]
-    for t in targets[1:-1]:
-        i = min(int(np.searchsorted(cum, t, side="right")) - 1, m - 1)
-        frac = (t - cum[i]) / max(seg[i], 1e-300)
-        out.append(pts[i] + frac * (pts[i + 1] - pts[i]))
-    out.append(path[m])
+    targets = np.linspace(0.0, total, m + 1)[1:-1]
+    i = np.minimum(np.searchsorted(cum, targets, side="right") - 1, m - 1)
+    frac = (targets - cum[i]) / np.maximum(seg[i], 1e-300)
+    out = path.copy()
+    out[1:-1] = path[i] + frac[:, None] * (path[i + 1] - path[i])
     return out
 
 
-def _path_max(op: FractionalOperator, path: list, exps: ExponentPair, eps: float) -> tuple:
+def _path_max(op: FractionalOperator, path: np.ndarray, exps: ExponentPair, eps: float) -> tuple:
     """The maximal-energy interior node of the path: (index, energy, A node).
 
     The endpoints are fixed and never the maximum, so their energies are not
     evaluated."""
-    products = [op.apply(node) for node in path[1:-1]]
-    energies = [energy(op, node, exps, eps, au=an).value
-                for node, an in zip(path[1:-1], products)]
+    products = op.apply(path[1:-1])
+    energies = energy_value(op, path[1:-1], exps, eps, au=products)
     k = int(np.argmax(energies))
-    return 1 + k, energies[k], products[k]
+    return 1 + k, float(energies[k]), products[k]
 
 
 def mountain_pass(op: FractionalOperator, exps: ExponentPair,
@@ -371,8 +368,11 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     """Path-deformation solver for the superlinear subcritical regime.
 
     Endpoints are 0 and t * bump with the energy at t * bump pushed below 0
-    by doubling t.  Each sweep takes one capped Armijo descent step on the
-    maximal-energy interior node and re-parametrizes the path.  The ridge
+    by doubling t.  The path is an (m+1) x N array, a node per row.  Each
+    sweep takes one stacked matvec and one batched energy over the interior
+    rows, one capped Armijo step on the maximal-energy node, and re-samples
+    the path by arclength; each element sees the floating-point operations
+    of a node-by-node loop, so the path is the same bit for bit.  The ridge
     node then seeds a Newton polish.  A polish that collapses to zero or to
     a non-positive pair triggers a restart with t doubled.
 
@@ -402,10 +402,10 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     sweeps_budget = cfg.mp_sweeps
     m = cfg.path_nodes
     for restart in range(cfg.max_restarts + 1):
-        path = [(j / m) * t * bump for j in range(m + 1)]
+        path = (np.arange(m + 1) / m * t)[:, None] * bump
         for sweep in range(sweeps_budget):
             j, phi0, a_ridge = _path_max(op, path, exps, eps)
-            ridge = path[j]
+            ridge = path[j].copy()  # the trace below reads it after path[j] moves
             g = energy_gradient(op, ridge, exps, eps, au=a_ridge)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
             direction = -op.solve(g / op.grid.weights)
@@ -414,7 +414,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             slope = float(np.dot(g, direction))
             for _ in range(40):
                 candidate = ridge + alpha * direction
-                if energy(op, candidate, exps, eps).value <= phi0 + cfg.armijo * alpha * slope:
+                if energy_value(op, candidate, exps, eps) <= phi0 + cfg.armijo * alpha * slope:
                     break
                 alpha *= 0.5
             path[j] = candidate
@@ -424,8 +424,11 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                               "energy": phi0,
                               "stationarity": euler_lagrange_residual(op, ridge, exps, eps)})
         j, _, a_ridge = _path_max(op, path, exps, eps)
-        ridge = path[j]
+        ridge = path[j].copy()
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
+        # free the path arrays before the polish: left alive, they split the
+        # heap hole its N x N buffers would reuse, and the peak RSS grows by N^2
+        del path, a_ridge
         polished = newton_polish(op, ridge, v0, exps, cfg)
         collapsed = (not polished.converged
                      or float(np.max(np.abs(polished.u))) <= 1e-6 * t

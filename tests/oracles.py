@@ -146,3 +146,50 @@ def scalar_branch(op, p: float, power_iters: int = 40, newton_iters: int = 100,
             step *= cap / size
         u = u - step
     return u
+
+
+# ---------------------------------------------------------------------------
+# node-by-node mountain-pass path steps (reference for the array form)
+
+
+def node_energy(op, u: np.ndarray, au: np.ndarray, p: float, q: float,
+                eps: float) -> float:
+    """The eps-smoothed functional at one node, summed as a 1-D array."""
+    w = op.grid.weights
+    expo = (p + 1.0) / (2.0 * p)
+    if eps == 0.0:
+        density = np.abs(au) ** (2.0 * expo)
+    else:
+        density = (au * au + eps * eps) ** expo - eps ** (2.0 * expo)
+    kinetic = p / (p + 1.0) * float(np.sum(w * density))
+    potential = float(np.sum(w * np.maximum(u, 0.0) ** (q + 1.0))) / (q + 1.0)
+    return kinetic - potential
+
+
+def path_max_by_node(op, path: list, p: float, q: float, eps: float) -> tuple:
+    """(index, energy, A node) of the maximal-energy interior node, one
+    matvec and one energy per node."""
+    products = [op.apply(node) for node in path[1:-1]]
+    energies = [node_energy(op, node, an, p, q, eps)
+                for node, an in zip(path[1:-1], products)]
+    k = int(np.argmax(energies))
+    return 1 + k, energies[k], products[k]
+
+
+def resample_path_by_node(path: list) -> list:
+    """Uniform arclength re-parametrization, one target node at a time."""
+    m = len(path) - 1
+    pts = np.stack(path)
+    seg = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+    total = float(np.sum(seg))
+    if total <= 0.0:
+        return path
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.linspace(0.0, total, m + 1)
+    out = [path[0]]
+    for t in targets[1:-1]:
+        i = min(int(np.searchsorted(cum, t, side="right")) - 1, m - 1)
+        frac = (t - cum[i]) / max(seg[i], 1e-300)
+        out.append(pts[i] + frac * (pts[i + 1] - pts[i]))
+    out.append(path[m])
+    return out

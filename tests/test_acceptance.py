@@ -27,7 +27,6 @@ from fraclane import (
 )
 from fraclane.analysis import (
     boundary_exponent_fit,
-    classify,
     maximum_principle_audit,
     rellich_residual,
 )
@@ -163,10 +162,10 @@ def test_criterion_07_integral_identity_residual_shrinks(superlinear_pair_256, g
 
 def test_criterion_08_regime_classifier_exact_on_rational_sweep():
     examples_ok = (
-        classify(ExponentPair(2, 2), 3, 0.5) == "critical"
-        and classify(ExponentPair(3, 3), 1, 0.5) == "superlinear_subcritical"
-        and classify(ExponentPair(10, 10), 3, 0.5) == "supercritical"
-        and classify(ExponentPair(Fraction(1, 3), 3), 1, Fraction(1, 2)) == "resonant"
+        ExponentPair(2, 2).regime(3, 0.5) == "critical"
+        and ExponentPair(3, 3).regime(1, 0.5) == "superlinear_subcritical"
+        and ExponentPair(10, 10).regime(3, 0.5) == "supercritical"
+        and ExponentPair(Fraction(1, 3), 3).regime(1, Fraction(1, 2)) == "resonant"
     )
     n, s = 3, Fraction(1, 2)
     curve_level = Fraction(n) - 2 * s  # (n - 2s), compared against n * lhs
@@ -189,7 +188,7 @@ def test_criterion_08_regime_classifier_exact_on_rational_sweep():
             factor = exps.rhs_factor(n, s)
             side = lhs * n - curve_level
             sign_ok = (factor > 0) == (side > 0) and (factor == 0) == (side == 0)
-            if classify(exps, n, s) != expected or not sign_ok:
+            if exps.regime(n, s) != expected or not sign_ok:
                 mismatches += 1
     ok = examples_ok and mismatches == 0
     record_criterion(8, ok, f"4/4 reference labels exact; 20x20 rational sweep at n=3, "

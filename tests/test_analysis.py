@@ -15,7 +15,6 @@ from fraclane import (
     boundary_exponent_fit,
     boundary_quotient,
     build_grid,
-    classify,
     maximum_principle_audit,
     operator_invariants,
     rellich_residual,
@@ -28,18 +27,11 @@ from fraclane import (
 
 def test_classify_reference_cases():
     half = Fraction(1, 2)
-    assert classify(ExponentPair(1, 1), 1, half) == "resonant"
-    assert classify(ExponentPair(2, 2), 3, half) == "critical"
-    assert classify(ExponentPair(5, 5), 1, half) == "superlinear_subcritical"
-    assert classify(ExponentPair(half, half), 1, half) == "sublinear"
-    assert classify(ExponentPair(10, 10), 3, half) == "supercritical"
-
-
-def test_classify_agrees_with_exponent_pair_method():
-    for p in (0.25, 1.0, 2.5, 6.0):
-        for q in (0.25, 1.0, 2.5, 6.0):
-            pair = ExponentPair(p, q)
-            assert classify(pair, 2, 0.5) == pair.regime(2, 0.5)
+    assert ExponentPair(1, 1).regime(1, half) == "resonant"
+    assert ExponentPair(2, 2).regime(3, half) == "critical"
+    assert ExponentPair(5, 5).regime(1, half) == "superlinear_subcritical"
+    assert ExponentPair(half, half).regime(1, half) == "sublinear"
+    assert ExponentPair(10, 10).regime(3, half) == "supercritical"
 
 
 def test_classification_sign_consistency_small_sweep():
@@ -51,7 +43,7 @@ def test_classification_sign_consistency_small_sweep():
                 continue
             gap = pair.hyperbole_gap(3, half)
             factor = pair.rhs_factor(3, half)
-            label = classify(pair, 3, half)
+            label = pair.regime(3, half)
             assert factor == 3 * gap
             if gap > 0:
                 assert label == "superlinear_subcritical" and factor > 0

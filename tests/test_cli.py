@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import fraclane.cli
 from fraclane.cli import RECORD_FIELDS, main
 
 pytestmark = pytest.mark.usefixtures("isolated_outdir")
@@ -248,6 +249,45 @@ def test_phase_diagram_sweep(tmp_path):
     csv_lines = (out / "phase_diagram.csv").read_text().splitlines()
     assert csv_lines[0].startswith("p,q,regime,converged,method")
     assert len(csv_lines) == 6
+
+
+def _without_run_details(record):
+    record = dict(record, input=dict(record["input"]))
+    del record["wall_time_s"], record["input"]["outdir"]
+    return record
+
+
+def test_phase_diagram_assembles_one_operator(tmp_path, monkeypatch):
+    calls = []
+    assemble = fraclane.cli.assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(fraclane.cli, "assemble", counting_assemble)
+    pairs = ["0.5:0.5", "2:2", "3:3"]
+    singles = []
+    for pair in pairs:
+        out = tmp_path / f"alone{pair}"
+        assert run("phase-diagram", "--pairs", pair, "--resolution", 32, "--outdir", out) == 0
+        singles += json.loads((out / "phase_diagram.json").read_text())
+    for jobs in (1, 3):
+        calls.clear()
+        out = tmp_path / f"jobs{jobs}"
+        assert run("phase-diagram", "--pairs", ",".join(pairs), "--resolution", 32,
+                   "--jobs", jobs, "--outdir", out) == 0
+        assert len(calls) == 1
+        swept = json.loads((out / "phase_diagram.json").read_text())
+        assert ([_without_run_details(r) for r in swept]
+                == [_without_run_details(r) for r in singles])
+
+    # a failed build caches nothing: every point reports its own error
+    out = tmp_path / "bad"
+    assert run("phase-diagram", "--pairs", "0.5:0.5,2:2", "--resolution", 4,
+               "--outdir", out) == 0
+    for record in json.loads((out / "phase_diagram.json").read_text()):
+        assert record["verdict"].startswith("configuration error: resolution")
 
 
 def test_phase_diagram_empty_sweep(tmp_path):

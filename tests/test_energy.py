@@ -13,6 +13,7 @@ from fraclane import (
     build_grid,
     energy,
     energy_gradient,
+    energy_value,
     euler_lagrange_residual,
     smoothed_density,
     smoothed_power,
@@ -138,6 +139,18 @@ def test_energy_accepts_a_precomputed_product(setup64):
         direct = energy(op, u, ExponentPair(0.5, 2.0), smoothing=eps)
         carried = energy(op, u, ExponentPair(0.5, 2.0), smoothing=eps, au=op.apply(u))
         assert carried == direct
+
+
+def test_energy_value_is_the_row_kernel_bitwise(setup64):
+    grid, op = setup64
+    stack = np.random.default_rng(2).normal(size=(5, grid.n_nodes))
+    for exps in (ExponentPair(3.0, 3.0), ExponentPair(0.5, 2.0)):
+        for eps in (0.0, 1e-6):
+            rows = energy_value(op, stack, exps, eps)
+            assert rows.shape == (5,)
+            for u, value in zip(stack, rows):
+                assert energy(op, u, exps, eps).value == value
+                assert energy_value(op, u, exps, eps) == value
 
 
 def test_energy_homogeneity_without_smoothing(setup64):

@@ -1,8 +1,6 @@
 """Operator layer: normalization constants, assembly structure, consistency
 against closed-form solutions, and the Green-function probe."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from fraclane import (
     assemble,
     ball_torsion_constant,
     build_grid,
-    dump_matrix,
     normalization_constant,
     normalization_constant_quadrature,
 )
@@ -232,11 +229,13 @@ def test_singular_correction_improves_local_limit():
     assert errs[True] < errs[False]
 
 
-def test_dump_matrix_round_trip(tmp_path, op64):
-    path = tmp_path / "matrix.bin"
-    dump_matrix(op64, path)
-    raw = path.read_bytes()
-    n, s, count = struct.unpack_from("<qdq", raw)
-    assert (n, s, count) == (1, 0.5, op64.n_nodes)
-    data = np.frombuffer(raw, dtype="<f8", offset=struct.calcsize("<qdq"))
-    assert np.array_equal(data.reshape(count, count), op64.matrix)
+@pytest.mark.parametrize("domain, resolution", [
+    (Domain.interval(-1.0, 1.0), 64),
+    (Domain.disk(1.0), 12),
+])
+def test_apply_on_a_stack_equals_the_row_products_bitwise(domain, resolution):
+    op = assemble(build_grid(domain, resolution), 0.5)
+    stack = np.random.default_rng(5).normal(size=(7, op.n_nodes))
+    rows = np.stack([op.apply(u) for u in stack])
+    assert op.apply(stack).tobytes() == rows.tobytes()
+    assert op.apply(stack[2:5]).tobytes() == rows[2:5].tobytes()  # a view, as in a path

@@ -307,20 +307,55 @@ def test_mountain_pass_asymmetric_exponents(setup64):
     assert pair.residual_v <= 1e-10 * op.scale
 
 
+def _paths(grid):
+    """Paths of 21 nodes: a random one, one with a zero-length segment, one
+    of identical nodes (zero total length), and a deformed bump path."""
+    rng = np.random.default_rng(3)
+    n = grid.n_nodes
+    random = rng.normal(size=(21, n))
+    repeated = random.copy()
+    repeated[7] = repeated[6]
+    flat = np.tile(rng.normal(size=n), (21, 1))
+    bump = initial_guess(grid, SolverConfig(init="bump"))
+    deformed = (np.arange(21) / 20 * 8.0)[:, None] * bump
+    deformed[9] += 0.3 * rng.uniform(size=n)
+    return [random, repeated, flat, deformed]
+
+
+def test_resample_path_matches_node_by_node_form_bitwise(setup64):
+    grid, _ = setup64
+    for path in _paths(grid):
+        got = fraclane.solvers._resample_path(path)
+        want = np.stack(oracles.resample_path_by_node(list(path)))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_path_max_matches_node_by_node_form_bitwise(setup64):
+    grid, op = setup64
+    for path in _paths(grid):
+        for p, q, eps in ((3.0, 3.0, 1e-6), (2.0, 4.0, 0.0)):
+            j, phi, au = fraclane.solvers._path_max(op, path, ExponentPair(p, q), eps)
+            j_ref, phi_ref, au_ref = oracles.path_max_by_node(op, list(path), p, q, eps)
+            assert (j, phi) == (j_ref, phi_ref)
+            assert au.tobytes() == au_ref.tobytes()
+
+
 def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
-    # Per sweep: one product per interior node (reused by the ridge's energy
-    # and gradient), one more inside the gradient, one per Armijo trial, and
-    # two per logged stationarity.  Endpoint energies are never evaluated,
-    # and the polish seed reuses the ridge's product: 3 matvecs fewer per
-    # sweep and per attempt than evaluating every node and the gradient
-    # from scratch (1236 for this case).
+    # Matvecs are counted by rows.  Per sweep: one product per interior node
+    # (reused by the ridge's energy and gradient), one more inside the
+    # gradient, one per Armijo trial, and two per logged stationarity.
+    # Endpoint energies are never evaluated, and the polish seed reuses the
+    # ridge's product: 3 matvecs fewer per sweep and per attempt than
+    # evaluating every node and the gradient from scratch (1236 for this
+    # case).  The 19 interior products of a sweep are one stacked call.
     grid, _ = setup64
     op = assemble(grid, 0.5)
-    calls = {"apply": 0, "gradient": 0}
+    calls = {"apply": 0, "matvecs": 0, "gradient": 0}
     apply, gradient = op.apply, fraclane.solvers.energy_gradient
 
     def counting_apply(u):
         calls["apply"] += 1
+        calls["matvecs"] += 1 if np.ndim(u) == 1 else len(u)
         return apply(u)
 
     def counting_gradient(*args, **kwargs):
@@ -333,7 +368,8 @@ def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
     assert pair.accepted
     assert not any(e["iter"] == -1 for e in pair.trace)  # one attempt, no restart
     assert calls["gradient"] == 40  # exactly one gradient per sweep
-    assert calls["apply"] == 1236 - 3 * 40 - 3
+    assert calls["matvecs"] == 1236 - 3 * 40 - 3
+    assert calls["apply"] == 1113 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
 
 
 # ---------------------------------------------------------------------------
