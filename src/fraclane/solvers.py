@@ -8,7 +8,8 @@ Three layers:
   as a trial Newton run contracts through positive iterates.
 * mountain_pass — for pq > 1 (subcritical), where 0 is a local minimum and
   the solution is a saddle: deform a discretized path from 0 to a
-  low-energy state until its maximal node settles on the ridge.
+  low-energy state until its maximal node is in Newton's basin, tested by
+  the same trial Newton runs.
 * newton_polish — undamped Newton with a step cap on the coupled system,
   used as the finishing stage by both pipelines and usable on its own.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
 
 from .domains import Grid
 from .energy import (
@@ -61,7 +63,7 @@ class SolverConfig:
     init: str = "bump"                   # zero | bump | random | supplied
     init_values: object = None           # used when init == "supplied"
     path_nodes: int = 20                 # mountain-pass path segments
-    mp_sweeps: int = 300                 # mountain-pass deformation sweeps
+    mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
     mp_smoothing: float = 1e-6           # smoothing used during path deformation
     mp_step_fraction: float = 0.25       # per-sweep cap on the deformed node's move
     max_restarts: int = 3                # mountain-pass collapse restarts
@@ -175,7 +177,9 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
 
     with A^{-1} formed once per call from the cached Cholesky factor when
     the first step is taken.  A is SPD, so S is singular exactly when the
-    Jacobian is.
+    Jacobian is.  Both N x N buffers are Fortran-ordered and LAPACK works
+    on them in place (A^{-1} overwrites an identity, the LU factors of S
+    overwrite S), so a call holds two N x N arrays besides A and its factor.
 
     Steps are capped at a fraction of the current sup-norm instead of being
     damped by a residual-decrease rule: near the saddle points of this
@@ -183,9 +187,10 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     while capped full steps retain quadratic convergence once inside the
     basin.  Stops at a rounding-floor tolerance well below residual_tol.
 
-    `_monotone` turns the iteration into a contraction test for the
-    sublinear handoff: it stops, unconverged, at the first iterate that is
-    not strictly positive or whose residual is not below the previous one.
+    `_monotone` turns the iteration into the contraction test of the
+    solvers' Newton handoff: it stops, unconverged, at the first iterate
+    that is not strictly positive or whose residual is not below the
+    previous one.
     """
     _require_not_resonant(exps)
     p, q = exps.pf, exps.qf
@@ -211,36 +216,73 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
         if res <= tol:
             return _pair(op, u, v, exps, True, "newton_polish", it, trace)
         if ainv is None:
-            ainv = op.solve(np.eye(op.n_nodes))
+            ainv = cho_solve(op.factor(), np.eye(op.n_nodes, order="F"),
+                             overwrite_b=True, check_finite=False)
             schur = np.empty_like(ainv)
+            getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (schur,))
+            # SciPy's BLAS for the products too: switching between NumPy's and
+            # SciPy's OpenBLAS thread pools inside a step makes them spin
+            gemv = get_blas_funcs("gemv", (ainv,))
         du, dv = _power_derivative(u, q), _power_derivative(v, p)
         np.multiply(du[:, None], ainv, out=schur)
         schur *= dv
         np.subtract(op.matrix, schur, out=schur)
-        ainv_fu = ainv @ f_u
-        try:
-            step_v = np.linalg.solve(schur, -f_v - du * ainv_fu)
-        except np.linalg.LinAlgError as exc:
-            if exps.pq == 1:
-                raise ResonantProblemError(
-                    "singular Jacobian at p*q = 1: amplitude is undetermined "
-                    "(eigenvalue problem); no polish possible"
-                ) from exc
+        ainv_fu = gemv(1.0, ainv, f_u)
+        lu, piv, info = getrf(schur, overwrite_a=True)
+        if info > 0:  # an exactly zero pivot: S, hence the Jacobian, is singular
             return _pair(op, u, v, exps, False, "newton_polish", it, trace,
                          message=f"singular Jacobian at iteration {it}")
-        step_u = ainv @ (dv * step_v) - ainv_fu
+        step_v, _ = getrs(lu, piv, -f_v - du * ainv_fu)
+        step_u = gemv(1.0, ainv, dv * step_v) - ainv_fu
         cap = cfg.newton_step_cap * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
         step_sup = max(float(np.max(np.abs(step_u))), float(np.max(np.abs(step_v))))
         scale = min(1.0, cap / max(step_sup, 1e-300))
         u += scale * step_u
         v += scale * step_v
-    if exps.pq == 1:
-        raise ResonantProblemError(
-            "Newton did not converge and p*q = 1: the problem is resonant "
-            "(continuum of scaled near-solutions); rejecting instead of iterating"
-        )
     return _pair(op, u, v, exps, False, "newton_polish", cfg.newton_max_iter, trace,
                  message=f"Newton budget exhausted at residual {res:.3e}")
+
+
+def _collapsed(pair: SolutionPair, floor: float) -> bool:
+    """True unless `pair` converged to a strictly positive state with sup|u| above `floor`."""
+    return (not pair.converged or float(np.max(np.abs(pair.u))) <= floor
+            or pair.min_u <= 0.0 or pair.min_v <= 0.0)
+
+
+class _NewtonHandoff:
+    """Monotone Newton trials after 5, 10, 20, 40, ... steps of a solver loop.
+
+    A trial from (u, recover_v(u)) works on copies of the caller's state.
+    It is accepted only if it converges, passes the collapse test against
+    `floor` and passes `_accept_or_raise`; each trial is a "newton_handoff"
+    trace entry whose outcome is "accepted" or the reason for rejection.
+    """
+
+    def __init__(self, op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig,
+                 trace: list, floor: float = 0.0):
+        self.op, self.exps, self.cfg, self.trace, self.floor = op, exps, cfg, trace, floor
+        self.checkpoint = 5
+
+    def __call__(self, steps: int, u: np.ndarray, phi: float, defect: np.ndarray):
+        """The accepted trial at a checkpoint, else None.  `phi` and the
+        sup-norm of the stationarity `defect` go into the trace entry."""
+        if steps != self.checkpoint:
+            return None
+        self.checkpoint *= 2
+        trial = newton_polish(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
+                              self.cfg, _monotone=True)
+        outcome = "accepted"
+        if _collapsed(trial, self.floor):
+            outcome = trial.message or "collapsed to a vanishing or non-positive state"
+        else:
+            try:
+                _accept_or_raise(trial, self.cfg)
+            except NonconvergenceError as exc:
+                outcome = str(exc)
+        self.trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
+                           "stationarity": float(np.max(np.abs(defect))),
+                           "outcome": outcome})
+        return trial if outcome == "accepted" else None
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +304,9 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     direction is -A^{-1} r, and Armijo trials use A(u + a d) = A u + a A d.
 
     After 5, 10, 20, 40, ... descent steps a Newton trial starts from
-    (u, recover_v(u)).  It is accepted only if every iterate, the start
-    included, is strictly positive, every residual is below the previous
-    one, and the polish tolerance is reached; otherwise the descent resumes
-    where it was.  `max_iter` is therefore a ceiling: when it runs out, the final
-    polish is the plain capped Newton iteration.  Every trial is logged in
-    the trace as a "newton_handoff" entry with its outcome.
+    (u, recover_v(u)) (see `_NewtonHandoff`); a rejected trial lets the
+    descent resume where it was.  `max_iter` is therefore a ceiling: when
+    it runs out, the final polish is the plain capped Newton iteration.
     """
     _require_not_resonant(exps)
     if exps.pq > 1:
@@ -277,7 +316,7 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     u = initial_guess(op.grid, cfg)
     trace = []
     steps = 0
-    checkpoint = 5  # descent steps before the next Newton trial
+    handoff = _NewtonHandoff(op, exps, cfg, trace)
     per_stage = max(1, cfg.max_iter // max(len(cfg.smoothing_schedule), 1))
     for eps in cfg.smoothing_schedule:
         stage_tol = max(cfg.gradient_tol * op.scale, 0.02 * eps)
@@ -286,14 +325,9 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
         for _ in range(per_stage):
             r = op.apply(smoothed_power(au, eps, p)) - np.maximum(u, 0.0) ** q
             rel = float(np.max(np.abs(r)))
-            if steps == checkpoint:
-                checkpoint *= 2
-                trial = newton_polish(op, u, recover_v(op, u, q), exps, cfg, _monotone=True)
-                trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
-                              "stationarity": rel,
-                              "outcome": "accepted" if trial.converged else trial.message})
-                if trial.converged:
-                    return _finish_sublinear(trial, trace, steps, cfg)
+            trial = handoff(steps, u, phi, r)
+            if trial is not None:
+                return _finish(trial, "minimize_sublinear", trace, steps, cfg)
             if rel <= stage_tol:
                 break
             g = w * r
@@ -315,13 +349,13 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
             trace.append({"stage": f"descent_eps={eps:g}", "iter": steps,
                           "energy": phi, "stationarity": rel})
     polished = newton_polish(op, u, recover_v(op, u, q), exps, cfg)
-    return _finish_sublinear(polished, trace, steps, cfg)
+    return _finish(polished, "minimize_sublinear", trace, steps, cfg)
 
 
-def _finish_sublinear(polished: SolutionPair, trace: list, steps: int,
-                      cfg: SolverConfig) -> SolutionPair:
-    result = replace(polished, method="minimize_sublinear",
-                     trace=trace + polished.trace,
+def _finish(polished: SolutionPair, method: str, trace: list, steps: int,
+            cfg: SolverConfig) -> SolutionPair:
+    """The solver's result from its Newton polish, after `steps` outer steps."""
+    result = replace(polished, method=method, trace=trace + polished.trace,
                      iterations=steps + polished.iterations)
     _accept_or_raise(result, cfg)
     return result
@@ -372,12 +406,18 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     sweep takes one stacked matvec and one batched energy over the interior
     rows, one capped Armijo step on the maximal-energy node, and re-samples
     the path by arclength; each element sees the floating-point operations
-    of a node-by-node loop, so the path is the same bit for bit.  The ridge
-    node then seeds a Newton polish.  A polish that collapses to zero or to
-    a non-positive pair triggers a restart with t doubled.
+    of a node-by-node loop, so the path is the same bit for bit.
+
+    In the subcritical regime the path only has to reach the saddle's Newton
+    basin: after 5, 10, 20, ... sweeps of each attempt a `_NewtonHandoff`
+    trial starts from the ridge node, so `mp_sweeps` is a ceiling.  When the
+    budget runs out, the ridge node seeds a Newton polish; a polish that
+    collapses to zero or to a non-positive pair triggers a restart with t
+    and the budget doubled.
 
     With allow_any_superlinear the critical/supercritical regimes are
-    admitted as a diagnostic (expected outcome there: nonconvergence).
+    admitted as a diagnostic (expected outcome there: nonconvergence); they
+    make no trials, so an early Newton convergence cannot pose as a solution.
     """
     _require_not_resonant(exps)
     if exps.pq < 1:
@@ -400,15 +440,22 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             raise NonconvergenceError("could not push the path endpoint below zero energy")
     trace = []
     sweeps_budget = cfg.mp_sweeps
+    sweeps_run = 0
     m = cfg.path_nodes
     for restart in range(cfg.max_restarts + 1):
+        handoff = (_NewtonHandoff(op, exps, cfg, trace, floor=1e-6 * t)
+                   if regime == "superlinear_subcritical" else None)
         path = (np.arange(m + 1) / m * t)[:, None] * bump
         for sweep in range(sweeps_budget):
             j, phi0, a_ridge = _path_max(op, path, exps, eps)
             ridge = path[j].copy()  # the trace below reads it after path[j] moves
             g = energy_gradient(op, ridge, exps, eps, au=a_ridge)
+            defect = g / op.grid.weights
+            trial = handoff(sweep, ridge, phi0, defect) if handoff else None
+            if trial is not None:
+                return _finish(trial, "mountain_pass", trace, sweeps_run + sweep, cfg)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
-            direction = -op.solve(g / op.grid.weights)
+            direction = -op.solve(defect)
             cap = cfg.mp_step_fraction * max(float(np.max(np.abs(ridge))), 1e-3 * t)
             alpha = min(1.0, cap / max(float(np.max(np.abs(direction))), 1e-300))
             slope = float(np.dot(g, direction))
@@ -423,6 +470,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                 trace.append({"stage": f"mountain_pass_restart{restart}", "iter": sweep,
                               "energy": phi0,
                               "stationarity": euler_lagrange_residual(op, ridge, exps, eps)})
+        sweeps_run += sweeps_budget
         j, _, a_ridge = _path_max(op, path, exps, eps)
         ridge = path[j].copy()
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
@@ -430,15 +478,8 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         # heap hole its N x N buffers would reuse, and the peak RSS grows by N^2
         del path, a_ridge
         polished = newton_polish(op, ridge, v0, exps, cfg)
-        collapsed = (not polished.converged
-                     or float(np.max(np.abs(polished.u))) <= 1e-6 * t
-                     or polished.min_u <= 0.0 or polished.min_v <= 0.0)
-        if not collapsed:
-            result = replace(polished, method="mountain_pass",
-                             trace=trace + polished.trace,
-                             iterations=(restart + 1) * sweeps_budget + polished.iterations)
-            _accept_or_raise(result, cfg)
-            return result
+        if not _collapsed(polished, 1e-6 * t):
+            return _finish(polished, "mountain_pass", trace, sweeps_run, cfg)
         t *= 2.0
         sweeps_budget *= 2
         trace.append({"stage": f"mountain_pass_restart{restart}", "iter": -1,

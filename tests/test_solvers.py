@@ -2,6 +2,7 @@
 path deformation, dispatch, and determinism."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fraclane import (
     ConfigurationError,
     Domain,
     ExponentPair,
+    FractionalOperator,
     NonconvergenceError,
     ResonantProblemError,
     SolverConfig,
@@ -113,6 +115,21 @@ def test_newton_polish_rejects_resonant_pair(setup64):
         newton_polish(op, start, start, ExponentPair(1.0, 1.0))
 
 
+def test_newton_polish_reports_exactly_singular_schur_complement(setup64):
+    # A = 4 I factors exactly (A^{-1} = I / 4), so at u = v = 2 with p = q = 2
+    # the Schur complement A - D_u A^{-1} D_v = 4 I - 4 I / 4 * 4 is exactly 0.
+    grid, op = setup64
+    fake = FractionalOperator(grid, op.s, 4.0 * np.eye(op.n_nodes), False)
+    two = np.full(op.n_nodes, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = newton_polish(fake, two, two, ExponentPair(2.0, 2.0))
+        with pytest.raises(ResonantProblemError):
+            newton_polish(fake, two, two, ExponentPair(1.0, 1.0))
+    assert not pair.converged
+    assert pair.message == "singular Jacobian at iteration 0"
+
+
 def test_newton_polish_jacobian_finite_where_positive_part_vanishes(setup64):
     # q < 1: the derivative of (u_+)^q is infinite at u = 0 from the right;
     # the Jacobian takes the one-sided value 0 there instead.
@@ -171,7 +188,7 @@ def test_newton_step_matches_full_jacobian_solve():
 
 def test_newton_polish_allocates_no_block_jacobian():
     # the 2N x 2N Jacobian alone is 4 N^2 doubles; the elimination keeps
-    # A^{-1} and the N x N Schur complement (plus a transient identity)
+    # A^{-1} and the N x N Schur complement, both factored in place
     grid = build_grid(Domain.interval(-1.0, 1.0), 600)
     op = assemble(grid, 0.5)
     op.factor()  # the operator's cached factor is not newton_polish's allocation
@@ -340,16 +357,9 @@ def test_path_max_matches_node_by_node_form_bitwise(setup64):
             assert au.tobytes() == au_ref.tobytes()
 
 
-def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
-    # Matvecs are counted by rows.  Per sweep: one product per interior node
-    # (reused by the ridge's energy and gradient), one more inside the
-    # gradient, one per Armijo trial, and two per logged stationarity.
-    # Endpoint energies are never evaluated, and the polish seed reuses the
-    # ridge's product: 3 matvecs fewer per sweep and per attempt than
-    # evaluating every node and the gradient from scratch (1236 for this
-    # case).  The 19 interior products of a sweep are one stacked call.
-    grid, _ = setup64
-    op = assemble(grid, 0.5)
+def _count_calls(op, monkeypatch):
+    """Count `op.apply` calls, matvecs by rows (a 1-D input counts 1, a
+    (k, N) stack k) and `energy_gradient` calls (one per sweep started)."""
     calls = {"apply": 0, "matvecs": 0, "gradient": 0}
     apply, gradient = op.apply, fraclane.solvers.energy_gradient
 
@@ -364,12 +374,116 @@ def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
 
     monkeypatch.setattr(op, "apply", counting_apply)
     monkeypatch.setattr(fraclane.solvers, "energy_gradient", counting_gradient)
+    return calls
+
+
+def _no_handoff(monkeypatch):
+    """Make every Newton handoff trial a rejection that computes nothing."""
+    monkeypatch.setattr(fraclane.solvers._NewtonHandoff, "__call__", lambda self, *args: None)
+
+
+def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
+    # The trials after 5 and 10 sweeps stop at "no contraction" (after 3
+    # and 2 Newton iterations), the one after 20 converges in 4.  Matvec
+    # rows: 21 path maxima of 19 interior rows, 21 gradients, one
+    # stationarity (2), 105 Armijo trials, and the three trials' Newton
+    # residuals and result pairs (13 + 11 + 15).
+    grid, _ = setup64
+    op = assemble(grid, 0.5)
+    calls = _count_calls(op, monkeypatch)
+    pair = mountain_pass(op, ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
+    assert pair.accepted
+    handoffs = [(e["iter"], e["outcome"]) for e in _handoffs(pair)]
+    assert handoffs == [(5, "no contraction at iteration 3"),
+                        (10, "no contraction at iteration 2"), (20, "accepted")]
+    assert calls["gradient"] == 21  # 20 sweeps run, the 21st stopped by the trial
+    assert pair.iterations == 20 + 4
+    assert calls["matvecs"] == 21 * 19 + 21 + 2 + 105 + 13 + 11 + 15
+    assert calls["apply"] == 188  # the matvecs less 18 rows per path maximum
+
+
+def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
+    # Without the handoff every sweep of the budget runs.  Per sweep: one
+    # product per interior node (reused by the ridge's energy and gradient),
+    # one more inside the gradient, one per Armijo trial, and two per logged
+    # stationarity.  Endpoint energies are never evaluated, and the polish
+    # seed reuses the ridge's product: 3 matvecs fewer per sweep and per
+    # attempt than evaluating every node and the gradient from scratch
+    # (1236 for this case).  The 19 interior products of a sweep are one
+    # stacked call.
+    grid, _ = setup64
+    op = assemble(grid, 0.5)
+    calls = _count_calls(op, monkeypatch)
+    _no_handoff(monkeypatch)
     pair = mountain_pass(op, ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
     assert pair.accepted
     assert not any(e["iter"] == -1 for e in pair.trace)  # one attempt, no restart
     assert calls["gradient"] == 40  # exactly one gradient per sweep
     assert calls["matvecs"] == 1236 - 3 * 40 - 3
     assert calls["apply"] == 1113 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
+
+
+def test_mountain_pass_hands_off_to_newton_early(monkeypatch):
+    cfg = SolverConfig()
+    cases = ((Domain.interval(-1.0, 1.0), 64, ExponentPair(2.0, 4.0)),
+             (Domain.disk(1.0), 12, ExponentPair(2.0, 2.0)))
+    for domain, res, exps in cases:
+        op = assemble(build_grid(domain, res), 0.5)
+        calls = _count_calls(op, monkeypatch)
+        pair = mountain_pass(op, exps, cfg)
+        assert pair.accepted
+        assert [h["outcome"] for h in _handoffs(pair)][-1] == "accepted"
+        assert calls["gradient"] < cfg.mp_sweeps
+        if exps.p == exps.q:
+            u_ref = oracles.scalar_branch(op, exps.pf)
+            assert np.max(np.abs(pair.u - u_ref)) <= 1e-10
+            assert np.max(np.abs(pair.v - u_ref)) <= 1e-10
+
+
+def test_rejected_handoff_trial_leaves_the_path_untouched(setup64, monkeypatch):
+    # A trial that runs in full and is then rejected must give the pair of a
+    # run whose trials reject without computing anything.
+    _, op = setup64
+    exps, cfg = ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40)
+    real = fraclane.solvers._NewtonHandoff.__call__
+
+    def run_then_reject(self, *args):
+        real(self, *args)
+        return None
+
+    monkeypatch.setattr(fraclane.solvers._NewtonHandoff, "__call__", run_then_reject)
+    tried = mountain_pass(op, exps, cfg)
+    _no_handoff(monkeypatch)
+    untried = mountain_pass(op, exps, cfg)
+    assert [h["outcome"] for h in _handoffs(tried)] == [
+        "no contraction at iteration 3", "no contraction at iteration 2", "accepted"]
+    assert not _handoffs(untried)
+    assert tried.u.tobytes() == untried.u.tobytes()
+    assert tried.v.tobytes() == untried.v.tobytes()
+    assert [e for e in tried.trace if e["stage"] != "newton_handoff"] == untried.trace
+
+
+def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
+    # s = 1/4 in 1D: (3, 3) is critical and (4, 4) supercritical.  There the
+    # mountain pass is a diagnostic: every attempt runs its whole budget.
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.25)
+    cfg = SolverConfig(mp_sweeps=40)
+    for exps, regime in ((ExponentPair(3.0, 3.0), "critical"),
+                         (ExponentPair(4.0, 4.0), "supercritical")):
+        assert exps.regime(1, 0.25) == regime
+        calls = _count_calls(op, monkeypatch)
+        try:
+            trace = solve_system(op, exps, cfg, solver="mountain_pass").trace
+            attempts = 1 + sum(e["iter"] == -1 for e in trace)
+        except NonconvergenceError as exc:
+            trace = exc.trace
+            attempts = cfg.max_restarts + 1
+        assert not any(e["stage"] == "newton_handoff" for e in trace)
+        assert calls["gradient"] == sum(cfg.mp_sweeps * 2**k for k in range(attempts))
+        for k in range(attempts):
+            logged = [e["iter"] for e in trace
+                      if e["stage"] == f"mountain_pass_restart{k}" and e["iter"] >= 0]
+            assert logged == list(range(0, cfg.mp_sweeps * 2**k, 25))
 
 
 # ---------------------------------------------------------------------------
