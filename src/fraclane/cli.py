@@ -12,7 +12,8 @@ self-describing: re-running `solve` from a record's input echo reproduces
 the numerics bitwise.
 
 Exit codes: 0 success, 2 solver nonconvergence or failed audit, 3 resonant
-exponents (p*q = 1), 4 configuration error.
+exponents (p*q = 1), 4 configuration error (a usage error or a malformed value
+included).
 """
 
 from __future__ import annotations
@@ -48,47 +49,46 @@ EXIT_NONCONVERGENCE = 2
 EXIT_RESONANT = 3
 EXIT_CONFIG = 4
 
-RECORD_FIELDS = [
-    "input", "regime", "method", "converged", "verdict", "residual_u", "residual_v",
-    "energy_value", "energy_kinetic", "energy_potential", "energy_norm",
-    "min_u", "min_v", "sup_u", "sup_v",
-    "rellich_lhs", "rellich_rhs", "rellich_rhs_factor", "rellich_residual",
-    "rellich_cross_gap", "rellich_star_shaped", "rellich_corners_dropped",
-    "rellich_fit_failures", "alpha_u", "alpha_v", "quotient_u", "quotient_v",
-    "uniqueness_gap_u", "uniqueness_gap_v", "uniqueness_s_hat",
-    "n_nodes", "grid_h", "version", "wall_time_s",
-]
+INITS = ("zero", "bump", "random")
+# config keys a command-line flag of the same name overrides
+_FLAG_KEYS = ("resolution", "s", "p", "q", "solver", "seed", "init", "second_init", "outdir",
+              "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
+_DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
 
 
-def _parse_number(text):
+def _cast(kind, value, name: str):
+    """`kind(value)`, with a malformed value reported as a configuration
+    error; `int` also rejects a float with a fractional part."""
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {expected}, got {value!r}") from None
+
+
+def _numbers(text: str, name: str, sep: str = ",") -> list:
+    """The floats of a `sep`-separated flag value."""
+    return [_cast(float, item, name) for item in text.split(sep)]
+
+
+def _parse_number(text: str, name: str):
     """Exact Fraction for rational-looking input, float otherwise."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return float(text)
+        return _cast(float, text, name)
 
 
 def _domain_from_config(cfg: dict) -> Domain:
     dom = cfg.get("domain")
-    if not isinstance(dom, dict) or "kind" not in dom:
+    if not isinstance(dom, dict):
         raise ConfigurationError("config needs a 'domain' object with a 'kind'")
-    kind = dom["kind"]
-    if kind == "interval":
-        eps = dom.get("endpoints")
-        if eps is None:
-            raise ConfigurationError("interval domain needs 'endpoints': [a, b]")
-        return Domain.interval(*eps)
-    if kind == "rectangle":
-        sides = dom.get("sides")
-        if sides is None:
-            raise ConfigurationError("rectangle domain needs 'sides': [lx, ly]")
-        return Domain.rectangle(*sides, center=tuple(dom.get("center", (0.0, 0.0))))
-    if kind == "disk":
-        radius = dom.get("radius")
-        if radius is None:
-            raise ConfigurationError("disk domain needs 'radius'")
-        return Domain.disk(radius, center=tuple(dom.get("center", (0.0, 0.0))))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+    try:
+        return Domain(**dom)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid domain {dom!r}: {exc}") from exc
 
 
 def _load_config(args) -> dict:
@@ -103,42 +103,18 @@ def _load_config(args) -> dict:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigurationError("config file must contain a JSON object")
-    overrides = {
-        "resolution": args.resolution,
-        "s": args.s,
-        "p": getattr(args, "p", None),
-        "q": getattr(args, "q", None),
-        "solver": getattr(args, "solver", None),
-        "seed": args.seed,
-        "init": getattr(args, "init", None),
-        "second_init": getattr(args, "second_init", None),
-        "outdir": args.outdir,
-        "singular_correction": True if getattr(args, "singular_correction", False) else None,
-        "max_iter": getattr(args, "max_iter", None),
-        "mp_sweeps": getattr(args, "mp_sweeps", None),
-        "residual_tol": getattr(args, "residual_tol", None),
-    }
-    if getattr(args, "domain_kind", None):
-        dom = {"kind": args.domain_kind}
-        if args.endpoints is not None:
-            dom["endpoints"] = args.endpoints
-        if args.sides is not None:
-            dom["sides"] = args.sides
-        if args.radius is not None:
-            dom["radius"] = args.radius
-        if args.center is not None:
-            dom["center"] = args.center
-        overrides["domain"] = dom
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    flags = vars(args)
+    cfg.update({key: flags[key] for key in _FLAG_KEYS if flags.get(key) is not None})
+    if flags.get("domain_kind"):
+        cfg["domain"] = {"kind": flags["domain_kind"],
+                         **{key: flags[key] for key in _DOMAIN_FLAG_KEYS if flags[key] is not None}}
     return cfg
 
 
 def _validated(cfg: dict) -> dict:
     """Fill defaults, check types, and normalize the input echo."""
+    n = _cast(int, cfg.get("n", 1), "n")
     if "domain" not in cfg:
-        n = int(cfg.get("n", 1))
         if n == 1:
             cfg["domain"] = {"kind": "interval", "endpoints": [-1.0, 1.0]}
         elif n == 2:
@@ -146,34 +122,35 @@ def _validated(cfg: dict) -> dict:
         else:
             raise ConfigurationError(f"dimension n={n} not supported (only n = 1 or 2)")
     domain = _domain_from_config(cfg)
-    if "n" in cfg and int(cfg["n"]) != domain.dim:
+    if "n" in cfg and n != domain.dim:
         raise ConfigurationError(
-            f"requested dimension n={cfg['n']} does not match the given domain "
+            f"requested dimension n={n} does not match the given domain "
             f"(dimension {domain.dim}); only n = 1 or 2 are supported"
         )
     out = {
         "domain": dict(cfg["domain"]),
-        "resolution": int(cfg.get("resolution", 128)),
-        "s": float(cfg.get("s", 0.5)),
-        "p": float(cfg["p"]) if "p" in cfg else None,
-        "q": float(cfg["q"]) if "q" in cfg else None,
+        "resolution": _cast(int, cfg.get("resolution", 128), "resolution"),
+        "s": _cast(float, cfg.get("s", 0.5), "s"),
+        "p": _cast(float, cfg["p"], "p") if "p" in cfg else None,
+        "q": _cast(float, cfg["q"], "q") if "q" in cfg else None,
         "solver": cfg.get("solver", "auto"),
-        "seed": int(cfg.get("seed", 0)),
+        "seed": _cast(int, cfg.get("seed", 0), "seed"),
         "init": cfg.get("init", "bump"),
         "second_init": cfg.get("second_init"),
         "singular_correction": bool(cfg.get("singular_correction", False)),
-        "max_iter": int(cfg.get("max_iter", 2000)),
-        "mp_sweeps": int(cfg.get("mp_sweeps", 300)),
-        "residual_tol": float(cfg.get("residual_tol", 1e-8)),
+        "max_iter": _cast(int, cfg.get("max_iter", 2000), "max_iter"),
+        "mp_sweeps": _cast(int, cfg.get("mp_sweeps", 300), "mp_sweeps"),
+        "residual_tol": _cast(float, cfg.get("residual_tol", 1e-8), "residual_tol"),
         "outdir": cfg.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out"),
     }
-    if out["p"] is None or out["q"] is None:
-        raise ConfigurationError("config needs exponents 'p' and 'q'")
+    if not 0 < out["residual_tol"] < float("inf"):
+        raise ConfigurationError(f"residual_tol must be positive and finite, "
+                                 f"got {out['residual_tol']}")
     if out["solver"] not in ("auto", "sublinear", "mountain_pass"):
         raise ConfigurationError(f"unknown solver {out['solver']!r}")
-    if out["init"] not in ("zero", "bump", "random"):
-        raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports zero|bump|random)")
-    if out["second_init"] is not None and out["second_init"] not in ("zero", "bump", "random"):
+    if out["init"] not in INITS:
+        raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
+    if out["second_init"] is not None and out["second_init"] not in INITS:
         raise ConfigurationError(f"unknown second_init {out['second_init']!r}")
     return out
 
@@ -188,12 +165,69 @@ def _solver_config(cfg: dict, init: str) -> SolverConfig:
     )
 
 
-def _empty_record(cfg: dict) -> dict:
-    record = {name: None for name in RECORD_FIELDS}
-    record["input"] = cfg
-    record["version"] = __version__
-    record["converged"] = False
-    return record
+def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None, gap=None,
+            t0=None) -> dict:
+    """The result record, and the only place that names its fields.  A field
+    is null when its source is missing: the grid, the converged pair, its
+    integral-identity report, the uniqueness gap or the start time."""
+
+    def get(source, name):
+        return None if source is None else getattr(source, name)
+
+    def decay(w):
+        return None if pair is None else boundary_exponent_fit(np.maximum(w, 0.0), grid).aggregate
+
+    def sup(w):
+        return None if pair is None else float(np.max(np.abs(w)))
+
+    energy = get(pair, "energy")
+    return {
+        "input": cfg,
+        "regime": regime,
+        "method": get(pair, "method"),
+        "converged": pair is not None,
+        "verdict": verdict,
+        "residual_u": get(pair, "residual_u"),
+        "residual_v": get(pair, "residual_v"),
+        "energy_value": get(energy, "value"),
+        "energy_kinetic": get(energy, "kinetic"),
+        "energy_potential": get(energy, "potential"),
+        "energy_norm": get(energy, "e_norm"),
+        "min_u": get(pair, "min_u"),
+        "min_v": get(pair, "min_v"),
+        "sup_u": sup(get(pair, "u")),
+        "sup_v": sup(get(pair, "v")),
+        "rellich_lhs": get(rel, "lhs"),
+        "rellich_rhs": get(rel, "rhs"),
+        "rellich_rhs_factor": get(rel, "rhs_factor"),
+        "rellich_residual": get(rel, "residual"),
+        "rellich_cross_gap": get(rel, "cross_gap"),
+        "rellich_star_shaped": get(rel, "star_shaped"),
+        "rellich_corners_dropped": get(rel, "corners_dropped"),
+        "rellich_fit_failures": get(rel, "boundary_fit_failures"),
+        "alpha_u": decay(get(pair, "u")),
+        "alpha_v": decay(get(pair, "v")),
+        "quotient_u": get(rel, "quotient_u"),
+        "quotient_v": get(rel, "quotient_v"),
+        "uniqueness_gap_u": get(gap, "gap_u"),
+        "uniqueness_gap_v": get(gap, "gap_v"),
+        "uniqueness_s_hat": get(gap, "s_hat"),
+        "n_nodes": get(grid, "n_nodes"),
+        "grid_h": None if grid is None else list(grid.h),
+        "version": __version__,
+        "wall_time_s": None if t0 is None else time.perf_counter() - t0,
+    }
+
+
+RECORD_FIELDS = tuple(_record({}))
+
+
+def _sign_obstructed(regime: str, domain: Domain, rhs_factor: float) -> bool:
+    """True when the integral identity rules out a positive pair: at or above
+    the critical curve the interior factor is <= 0, while on a star-shaped
+    domain the boundary term of any positive solution is > 0."""
+    return (regime in ("critical", "supercritical") and domain.is_star_shaped_wrt_origin()
+            and rhs_factor <= 0)
 
 
 def _operator(cfg: dict):
@@ -209,6 +243,8 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
     the pair is None when any requested solve failed to converge.
     `operator(cfg)` supplies the factored operator."""
     t0 = time.perf_counter()
+    if cfg["p"] is None or cfg["q"] is None:
+        raise ConfigurationError("config needs exponents 'p' and 'q'")
     exps = ExponentPair(cfg["p"], cfg["q"])
     regime = exps.regime(_domain_from_config(cfg).dim, cfg["s"])
     if regime == "resonant":
@@ -217,52 +253,32 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
         )
     op = operator(cfg)
     grid = op.grid
-    record = _empty_record(cfg)
-    record["regime"] = regime
-    record["n_nodes"] = grid.n_nodes
-    record["grid_h"] = list(grid.h)
     try:
         pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]), cfg["solver"])
     except NonconvergenceError as exc:
-        record["wall_time_s"] = time.perf_counter() - t0
-        record["verdict"] = _failure_verdict(regime, exps, grid, cfg["s"], str(exc))
-        return record, None, grid
-    record["method"] = pair.method
-    record["converged"] = True
-    record["residual_u"], record["residual_v"] = pair.residual_u, pair.residual_v
-    record["energy_value"] = pair.energy.value
-    record["energy_kinetic"] = pair.energy.kinetic
-    record["energy_potential"] = pair.energy.potential
-    record["energy_norm"] = pair.energy.e_norm
-    record["min_u"], record["min_v"] = pair.min_u, pair.min_v
-    record["sup_u"] = float(np.max(np.abs(pair.u)))
-    record["sup_v"] = float(np.max(np.abs(pair.v)))
+        factor = float(exps.rhs_factor(grid.dim, cfg["s"]))
+        verdict = f"nonconvergence: {exc}"
+        if _sign_obstructed(regime, grid.domain, factor):
+            verdict = (
+                "nonexistence-consistent: solver did not converge, the domain is "
+                f"star-shaped, and the interior factor {factor:.6g} is <= 0 while the "
+                "boundary term of the integral identity is positive for any positive "
+                "solution; consistent with nonexistence (not a proof). "
+                f"Detail: {exc}"
+            )
+        return _record(cfg, verdict, regime, grid, t0=t0), None, grid
     rel = rellich_residual(pair, exps, grid, cfg["s"])
-    record["rellich_lhs"] = rel.lhs
-    record["rellich_rhs"] = rel.rhs
-    record["rellich_rhs_factor"] = rel.rhs_factor
-    record["rellich_residual"] = rel.residual
-    record["rellich_cross_gap"] = rel.cross_gap
-    record["rellich_star_shaped"] = rel.star_shaped
-    record["rellich_corners_dropped"] = rel.corners_dropped
-    record["rellich_fit_failures"] = rel.boundary_fit_failures
-    record["alpha_u"] = boundary_exponent_fit(np.maximum(pair.u, 0.0), grid).aggregate
-    record["alpha_v"] = boundary_exponent_fit(np.maximum(pair.v, 0.0), grid).aggregate
-    record["quotient_u"], record["quotient_v"] = rel.quotient_u, rel.quotient_v
+    gap = None
     if cfg["second_init"]:
         try:
             pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]), cfg["solver"])
         except NonconvergenceError as exc:
             # the first pair's record stands; only the uniqueness gap is missing
-            record["wall_time_s"] = time.perf_counter() - t0
-            record["verdict"] = f"nonconvergence: second start {cfg['second_init']!r} failed: {exc}"
-            return record, None, grid
+            verdict = f"nonconvergence: second start {cfg['second_init']!r} failed: {exc}"
+            return _record(cfg, verdict, regime, grid, pair, rel, t0=t0), None, grid
         gap = uniqueness_gap(pair, pair2)
-        record["uniqueness_gap_u"] = gap.gap_u
-        record["uniqueness_gap_v"] = gap.gap_v
-        record["uniqueness_s_hat"] = gap.s_hat
-    if regime in ("critical", "supercritical") and rel.star_shaped and rel.rhs_factor <= 0:
-        record["verdict"] = (
+    if _sign_obstructed(regime, grid.domain, rel.rhs_factor):
+        verdict = (
             "discretization artifact likely: converged to a positive pair, but on a "
             "star-shaped domain the integral identity forbids one in this regime "
             f"(boundary term {rel.lhs:.6g} > 0 against interior factor "
@@ -270,27 +286,11 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
             "expect the pair to degenerate under refinement"
         )
     else:
-        record["verdict"] = "existence: converged to a positive pair with accepted residuals"
-    record["wall_time_s"] = time.perf_counter() - t0
-    return record, pair, grid
+        verdict = "existence: converged to a positive pair with accepted residuals"
+    return _record(cfg, verdict, regime, grid, pair, rel, gap, t0), pair, grid
 
 
-def _failure_verdict(regime: str, exps: ExponentPair, grid, s, detail: str) -> str:
-    if regime in ("critical", "supercritical"):
-        factor = float(exps.rhs_factor(grid.dim, s))
-        star = grid.domain.is_star_shaped_wrt_origin()
-        if star and factor <= 0:
-            return (
-                "nonexistence-consistent: solver did not converge, the domain is "
-                f"star-shaped, and the interior factor {factor:.6g} is <= 0 while the "
-                "boundary term of the integral identity is positive for any positive "
-                "solution; consistent with nonexistence (not a proof). "
-                f"Detail: {detail}"
-            )
-    return f"nonconvergence: {detail}"
-
-
-def _write_record(record: dict, outdir: str, stem: str = "record") -> str:
+def _write_record(record, outdir: str, stem: str = "record") -> str:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{stem}.json")
     with open(path, "w") as fh:
@@ -332,10 +332,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = _parse_number(args.p)
-    q = _parse_number(args.q)
-    s = _parse_number(args.s)
-    n = int(args.n)
+    p = _parse_number(args.p, "p")
+    q = _parse_number(args.q, "q")
+    s = _parse_number(args.s, "s")
+    n = _cast(int, args.n, "dimension")
     if not 1 <= n:
         raise ConfigurationError("dimension must be a positive integer")
     exps = ExponentPair(p, q)
@@ -349,19 +349,15 @@ def cmd_classify(args) -> int:
 def cmd_phase_diagram(args) -> int:
     cfg_base = _load_config(args)
     if args.pairs is not None:
-        items = [item for item in args.pairs.split(",") if item.strip()]
-        try:
-            points = [tuple(float(v) for v in item.split(":")) for item in items]
-        except ValueError as exc:
-            raise ConfigurationError(f"cannot parse --pairs: {exc}") from exc
+        points = [tuple(_numbers(item, "--pairs item", ":"))
+                  for item in args.pairs.split(",") if item.strip()]
         if not all(len(pt) == 2 for pt in points):
             raise ConfigurationError("--pairs items must look like p:q")
     else:
         if not args.p_list or not args.q_list:
             raise ConfigurationError("phase-diagram needs --pairs or both --p-list and --q-list")
-        ps = [float(v) for v in args.p_list.split(",")]
-        qs = [float(v) for v in args.q_list.split(",")]
-        points = [(p, q) for p in ps for q in qs]
+        points = [(p, q) for p in _numbers(args.p_list, "--p-list item")
+                  for q in _numbers(args.q_list, "--q-list item")]
     outdir = cfg_base.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out")
     # the points differ only in p and q, so they share one operator, built
     # by the first point that needs it; the lock makes that safe for --jobs > 1
@@ -375,22 +371,14 @@ def cmd_phase_diagram(args) -> int:
 
     def run_point(index_point):
         index, (p, q) = index_point
-        cfg = dict(cfg_base)
-        cfg["p"], cfg["q"] = p, q
-        cfg["outdir"] = outdir
+        cfg = dict(cfg_base, p=p, q=q, outdir=outdir)
         try:
             cfg = _validated(cfg)
             record, _, _ = _run_solve(cfg, operator)
         except ResonantProblemError as exc:
-            record = _empty_record(cfg)
-            record["regime"] = "resonant"
-            record["verdict"] = f"resonant-skipped: {exc}"
+            record = _record(cfg, f"resonant-skipped: {exc}", "resonant")
         except ConfigurationError as exc:
-            record = _empty_record(cfg)
-            record["verdict"] = f"configuration error: {exc}"
-        except NonconvergenceError as exc:
-            record = _empty_record(cfg)
-            record["verdict"] = f"nonconvergence: {exc}"
+            record = _record(cfg, f"configuration error: {exc}")
         return index, record
 
     jobs = max(1, args.jobs)
@@ -402,11 +390,7 @@ def cmd_phase_diagram(args) -> int:
             results = list(pool.map(run_point, indexed))
     results.sort(key=lambda item: item[0])
     records = [record for _, record in results]
-    os.makedirs(outdir, exist_ok=True)
-    json_path = os.path.join(outdir, "phase_diagram.json")
-    with open(json_path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_record(records, outdir, "phase_diagram")
     csv_path = os.path.join(outdir, "phase_diagram.csv")
     with open(csv_path, "w") as fh:
         fh.write("p,q,regime,converged,method,energy_value,residual_u,residual_v,"
@@ -428,11 +412,7 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load_config(args)
-    cfg.setdefault("p", 1.0)  # exponents unused by the audit, satisfy validation
-    cfg.setdefault("q", 2.0)
-    cfg.setdefault("domain", {"kind": "interval", "endpoints": [-1.0, 1.0]})
-    cfg = _validated(cfg)
+    cfg = _validated(_load_config(args))
     op = _operator(cfg)
     struct = operator_invariants(op)
     audit = maximum_principle_audit(op, trials=args.trials, seed=cfg["seed"])
@@ -459,7 +439,7 @@ def _add_domain_flags(sub):
     sub.add_argument("--s", type=float, help="fractional order in (0,1)")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--outdir", help="output directory (default $FRACLANE_OUTDIR or ./fraclane_out)")
-    sub.add_argument("--singular-correction", action="store_true",
+    sub.add_argument("--singular-correction", action="store_true", default=None,
                      help="enable the central-cell curvature correction")
 
 
@@ -476,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--p", type=float)
     sol.add_argument("--q", type=float)
     sol.add_argument("--solver", choices=["auto", "sublinear", "mountain_pass"])
-    sol.add_argument("--init", choices=["zero", "bump", "random"])
-    sol.add_argument("--second-init", dest="second_init", choices=["zero", "bump", "random"],
+    sol.add_argument("--init", choices=INITS)
+    sol.add_argument("--second-init", dest="second_init", choices=INITS,
                      help="run a second solve from this start and report the gap")
     sol.add_argument("--max-iter", dest="max_iter", type=int)
     sol.add_argument("--mp-sweeps", dest="mp_sweeps", type=int)
@@ -507,8 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help/--version, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -193,10 +193,6 @@ class Grid:
     def n_nodes(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
-
     # -- norms and integrals on grid functions -----------------------------
 
     def integrate(self, u: np.ndarray) -> float:
@@ -294,53 +290,3 @@ def boundary_trace(grid: Grid, samples: int | None = None) -> BoundaryTrace:
     xdn = np.sum(pts * nrm, axis=1)
     return BoundaryTrace(pts, nrm, wts, xdn, corners_dropped=(dom.kind == "rectangle"))
 
-
-def resample_nested(src: Grid, u: np.ndarray, dst: Grid) -> np.ndarray:
-    """Move a grid function between two grids on the same domain whose
-    resolutions divide evenly.
-
-    Coarse -> fine: each fine node inherits its parent cell's value
-    (injection).  Fine -> coarse: each coarse node averages the values of its
-    interior children.  Both directions preserve sign and never increase the
-    sup-norm.
-    """
-    if src.domain != dst.domain:
-        raise ConfigurationError("resample_nested needs grids on the same domain")
-    if dst.resolution % src.resolution == 0:  # prolong coarse -> fine
-        ratio = dst.resolution // src.resolution
-        parent = dst.lattice // ratio
-        src_index = _lattice_index(src)
-        out = np.zeros(dst.n_nodes)
-        keys = _keys(parent, src.resolution)
-        for i, kk in enumerate(keys):
-            j = src_index.get(kk)
-            if j is not None:
-                out[i] = u[j]
-        return out
-    if src.resolution % dst.resolution == 0:  # restrict fine -> coarse
-        ratio = src.resolution // dst.resolution
-        parent = src.lattice // ratio
-        sums = np.zeros(dst.n_nodes)
-        counts = np.zeros(dst.n_nodes)
-        dst_index = _lattice_index(dst)
-        keys = _keys(parent, dst.resolution)
-        for i, kk in enumerate(keys):
-            j = dst_index.get(kk)
-            if j is not None:
-                sums[j] += u[i]
-                counts[j] += 1
-        out = np.zeros(dst.n_nodes)
-        nz = counts > 0
-        out[nz] = sums[nz] / counts[nz]
-        return out
-    raise ConfigurationError("grid resolutions do not nest")
-
-
-def _keys(lattice: np.ndarray, res: int):
-    if lattice.shape[1] == 1:
-        return [int(v) for v in lattice[:, 0]]
-    return [int(a) * res + int(b) for a, b in lattice]
-
-
-def _lattice_index(grid: Grid) -> dict:
-    return {kk: i for i, kk in enumerate(_keys(grid.lattice, grid.resolution))}

@@ -1,7 +1,10 @@
 """Command-line front end: argument handling, exit codes, record and table
 outputs, round-trip reproducibility."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,8 @@ def test_classify_accepts_fractions(capsys):
 def test_classify_rejects_bad_input(capsys):
     assert run("classify", "2", "2", "0", "0.5") == 4
     assert run("classify", "2", "2", "1", "1.5") == 4
+    assert run("classify", "2", "2", "one", "0.5") == 4
+    assert run("classify", "x", "2", "1", "0.5") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,55 @@ def test_configuration_errors_exit_4(tmp_path, capsys):
     mism.write_text(json.dumps({
         "n": 1, "domain": {"kind": "disk", "radius": 1.0}, "p": 2, "q": 2}))
     assert run("solve", "--config", mism) == 4
+    capsys.readouterr()
+
+
+def test_malformed_config_values_exit_4(tmp_path, capsys):
+    for index, bad in enumerate([
+        {"p": "abc"},
+        {"resolution": "x"},
+        {"domain": {"kind": "interval", "endpoints": [1]}},
+        {"domain": {"kind": "rectangle", "sides": [1, "a"]}},
+        {"residual_tol": "nan"},
+    ]):
+        cfg = tmp_path / f"bad{index}.json"
+        cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, **bad}))
+        assert run("solve", "--config", cfg) == 4, bad
+        if "p" in bad:
+            continue  # phase-diagram sets p itself
+        # a sweep keeps going and records the error on every point
+        out = tmp_path / f"sweep{index}"
+        assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5,2:2",
+                   "--outdir", out) == 0
+        records = json.loads((out / "phase_diagram.json").read_text())
+        assert len(records) == 2
+        for record in records:
+            assert set(record) == set(RECORD_FIELDS)
+            assert record["verdict"].startswith("configuration error"), bad
+    capsys.readouterr()
+
+
+def test_integer_keys_take_integral_values_only(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("resolution", 16.5), ("seed", 1.5), ("max_iter", 50.5),
+                       ("mp_sweeps", 30.5), ("n", 1.5)):
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, key: value}))
+        assert run("solve", "--config", cfg) == 4, key
+    for index, value in enumerate((16.0, "16")):
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": value}))
+        out = tmp_path / f"integral{index}"
+        assert run("solve", "--config", cfg, "--outdir", out) == 0
+        assert json.loads((out / "record.json").read_text())["input"]["resolution"] == 16
+    capsys.readouterr()
+
+
+def test_usage_errors_exit_4(capsys):
+    assert run("solve", "--resolution", "abc") == 4
+    assert run("solve", "--no-such-flag") == 4
+    assert run() == 4  # no subcommand
+    assert run("--help") == 0
+    assert run("solve", "--help") == 0
+    assert run("--version") == 0
     capsys.readouterr()
 
 
@@ -318,6 +372,14 @@ def test_phase_diagram_requires_a_sweep_definition(capsys):
     capsys.readouterr()
 
 
+def test_phase_diagram_rejects_malformed_number_lists(capsys):
+    assert run("phase-diagram", "--p-list", "a", "--q-list", "1") == 4
+    assert run("phase-diagram", "--p-list", "1", "--q-list", "0.5,b") == 4
+    assert run("phase-diagram", "--pairs", "0.5:x") == 4
+    assert run("phase-diagram", "--pairs", "0.5:0.5:0.5") == 4
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -327,3 +389,25 @@ def test_audit_command(capsys):
     out = capsys.readouterr().out
     assert "symmetric: ok" in out
     assert "positivity trials: 25/25 passed" in out
+
+
+def test_audit_takes_the_default_domain_of_n(tmp_path, capsys):
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({"n": 2, "resolution": 10}))
+    assert run("audit", "--config", cfg, "--trials", 3) == 0
+    assert "positivity trials: 3/3 passed" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+
+def test_benchmark_hooks_name_existing_globals(monkeypatch):
+    """perfbench traces the package by replacing these attributes; a refactor
+    that drops one must fail here, not only in a traced benchmark run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing into perfbench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, *_ in spans.LAYER_TARGETS if attr not in vars(owner)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Geometry layer: domains, grids, boundary traces, nested resampling."""
+"""Geometry layer: domains, grids, boundary traces."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fraclane import (
     Domain,
     boundary_trace,
     build_grid,
-    resample_nested,
 )
 
 
@@ -164,31 +163,3 @@ def test_offcenter_trace_x_dot_nu_sign():
     assert grid.domain.is_star_shaped_wrt_origin()
     assert np.all(tr.x_dot_nu > 0)
 
-
-# ---------------------------------------------------------------------------
-# nested resampling
-
-
-def test_resample_interval_round_trip_is_identity():
-    coarse = build_grid(Domain.interval(-1.0, 1.0), 32)
-    fine = build_grid(Domain.interval(-1.0, 1.0), 64)
-    rng = np.random.default_rng(7)
-    u = rng.uniform(0.5, 2.0, coarse.n_nodes)
-    up = resample_nested(coarse, u, fine)
-    assert up.shape == (fine.n_nodes,)
-    assert np.max(up) == pytest.approx(np.max(u))
-    assert np.all(up > 0)
-    back = resample_nested(fine, up, coarse)
-    assert back == pytest.approx(u, abs=1e-14)
-
-
-def test_resample_disk_preserves_sign_and_bound():
-    coarse = build_grid(Domain.disk(1.0), 16)
-    fine = build_grid(Domain.disk(1.0), 32)
-    u = 1.0 + coarse.d
-    up = resample_nested(coarse, u, fine)
-    assert np.all(up >= 0)
-    assert np.max(up) <= np.max(u) + 1e-14
-    down = resample_nested(fine, 1.0 + fine.d, coarse)
-    assert np.all(down >= 0)
-    assert np.max(down) <= np.max(1.0 + fine.d) + 1e-14
