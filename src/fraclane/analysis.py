@@ -14,6 +14,7 @@ resolution, which restores convergence under refinement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,74 +54,50 @@ def _exponent_window(resolution: int) -> tuple:
     return k0, 2 * k0
 
 
-def _full_box_values(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Grid function extended by zero to the full bounding-box lattice."""
-    res = grid.resolution
-    if grid.dim == 1:
-        full = np.zeros(res)
-        full[grid.lattice[:, 0]] = u
-    else:
-        full = np.zeros((res, res))
-        full[grid.lattice[:, 0], grid.lattice[:, 1]] = u
-    return full
+def _ray_samples(grid: Grid, u: np.ndarray, k_lo: int, k_hi: int) -> tuple:
+    """Samples of the grid function at distances (k-1/2)*h_ray inward from
+    every boundary trace point, k = k_lo..k_hi.  Returns (trace, d, values)
+    with d of shape (K,) and values of shape (B, K).
 
-
-def _ray_samples(grid: Grid, full: np.ndarray, point: np.ndarray, normal: np.ndarray,
-                 k_lo: int, k_hi: int) -> tuple:
-    """Values of the grid function at distances (k-1/2)*h_ray inward from a
-    boundary point, k = k_lo..k_hi.
-
-    Where the ray runs along a lattice line (1D, rectangle sides) the
-    samples are exact nodes; otherwise (disk) they are bilinear
-    interpolations of the zero-extended function.  Returns (d, values).
+    Each value is the multilinear interpolation of u extended by zero to the
+    bounding-box lattice; where a ray runs along a lattice line (1D,
+    rectangle sides) it reproduces the node values up to rounding.  The
+    corners are summed with axis 0 varying fastest, each weight the product
+    of its per-axis factors, so every value is bitwise that of a
+    point-by-point evaluation.
     """
-    h_ray = min(grid.h)
-    ks = np.arange(k_lo, k_hi + 1)
-    dist = (ks - 0.5) * h_ray
-    pts = point[None, :] - dist[:, None] * normal[None, :]
-    if grid.dim == 1:
-        vals = _interp1(grid, full, pts[:, 0])
-    else:
-        vals = _interp2(grid, full, pts)
-    return dist, vals
-
-
-def _interp1(grid: Grid, full: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    (lo, _), = grid.domain.bounding_box
-    h = grid.h[0]
-    t = (xs - lo) / h - 0.5
-    i0 = np.floor(t).astype(int)
-    frac = t - i0
+    tr = boundary_trace(grid)
     res = grid.resolution
+    full = np.zeros((res + 2,) * grid.dim)  # the box lattice inside one layer of zeros
+    full[tuple(grid.lattice.T + 1)] = u
+    dist = (np.arange(k_lo, k_hi + 1) - 0.5) * min(grid.h)
+    pts = tr.points[:, None, :] - dist[None, :, None] * tr.normals[:, None, :]
+    index, frac = [], []
+    for axis, (lo, _) in enumerate(grid.domain.bounding_box):
+        t = (pts[..., axis] - lo) / grid.h[axis] - 0.5
+        index.append(np.floor(t).astype(int))
+        frac.append(t - index[-1])
+    values = 0.0
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        corner = corner[::-1]  # axis 0 varies fastest
+        weight = 1.0
+        for f, c in zip(frac, corner):
+            weight = weight * (f if c else 1 - f)
+        node = full[tuple(np.clip(i + c + 1, 0, res + 1) for i, c in zip(index, corner))]
+        values = values + weight * node
+    return tr, dist, values
 
-    def val(idx):
-        v = np.zeros_like(xs)
-        ok = (idx >= 0) & (idx < res)
-        v[ok] = full[idx[ok]]
-        return v
 
-    return (1 - frac) * val(i0) + frac * val(i0 + 1)
-
-
-def _interp2(grid: Grid, full: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    box = grid.domain.bounding_box
-    res = grid.resolution
-    out = np.zeros(pts.shape[0])
-    t1 = (pts[:, 0] - box[0][0]) / grid.h[0] - 0.5
-    t2 = (pts[:, 1] - box[1][0]) / grid.h[1] - 0.5
-    i0 = np.floor(t1).astype(int)
-    j0 = np.floor(t2).astype(int)
-    f1 = t1 - i0
-    f2 = t2 - j0
-
-    def val(ii, jj):
-        v = np.zeros(pts.shape[0])
-        ok = (ii >= 0) & (ii < res) & (jj >= 0) & (jj < res)
-        v[ok] = full[ii[ok], jj[ok]]
-        return v
-
-    return ((1 - f1) * (1 - f2) * val(i0, j0) + f1 * (1 - f2) * val(i0 + 1, j0)
-            + (1 - f1) * f2 * val(i0, j0 + 1) + f1 * f2 * val(i0 + 1, j0 + 1))
+def _fit_rays(grid: Grid, u: np.ndarray, window: tuple, fit) -> BoundaryFit:
+    """`fit(d, values)` on the positive samples of each ray that has at least
+    4 of them; the other rays are not ok and hold NaN."""
+    tr, dist, samples = _ray_samples(grid, u, *window)
+    usable = samples > 0
+    ok = np.sum(usable, axis=1) >= 4
+    values = np.full(len(tr.weights), np.nan)
+    for b in np.flatnonzero(ok):
+        values[b] = fit(dist[usable[b]], samples[b, usable[b]])
+    return BoundaryFit(values, ok, tr, window)
 
 
 @dataclass(frozen=True)
@@ -156,23 +133,14 @@ def boundary_quotient(u: np.ndarray, grid: Grid, s: float) -> BoundaryFit:
     s = float(s)
     if np.any(u < 0):
         raise ConfigurationError("boundary_quotient expects a nonnegative function")
-    tr = boundary_trace(grid)
-    k_lo, k_hi = _quotient_window(grid.resolution)
-    full = _full_box_values(grid, u)
     h_ray = min(grid.h)
-    values = np.full(len(tr.weights), np.nan)
-    ok = np.zeros(len(tr.weights), dtype=bool)
-    for b in range(len(tr.weights)):
-        dist, vals = _ray_samples(grid, full, tr.points[b], tr.normals[b], k_lo, k_hi)
-        usable = vals > 0
-        if int(np.sum(usable)) < 4:
-            continue
-        d, y = dist[usable], np.log(vals[usable]) - s * np.log(dist[usable])
+
+    def fit(d, vals):
+        y = np.log(vals) - s * np.log(d)
         design = np.stack([np.ones(len(d)), d, (d / h_ray) ** (-(2.0 - 2.0 * s))], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        values[b] = float(np.exp(coef[0]))
-        ok[b] = True
-    return BoundaryFit(values, ok, tr, (k_lo, k_hi))
+        return np.exp(np.linalg.lstsq(design, y, rcond=None)[0][0])
+
+    return _fit_rays(grid, u, _quotient_window(grid.resolution), fit)
 
 
 def boundary_exponent_fit(u: np.ndarray, grid: Grid) -> BoundaryFit:
@@ -184,20 +152,8 @@ def boundary_exponent_fit(u: np.ndarray, grid: Grid) -> BoundaryFit:
         raise ConfigurationError("boundary_exponent_fit expects a nonnegative function")
     if not np.any(u > 0):
         raise ConfigurationError("boundary_exponent_fit expects a nonzero function")
-    tr = boundary_trace(grid)
-    k_lo, k_hi = _exponent_window(grid.resolution)
-    full = _full_box_values(grid, u)
-    values = np.full(len(tr.weights), np.nan)
-    ok = np.zeros(len(tr.weights), dtype=bool)
-    for b in range(len(tr.weights)):
-        dist, vals = _ray_samples(grid, full, tr.points[b], tr.normals[b], k_lo, k_hi)
-        usable = vals > 0
-        if int(np.sum(usable)) < 4:
-            continue
-        slope = np.polyfit(np.log(dist[usable]), np.log(vals[usable]), 1)[0]
-        values[b] = float(slope)
-        ok[b] = True
-    return BoundaryFit(values, ok, tr, (k_lo, k_hi))
+    return _fit_rays(grid, u, _exponent_window(grid.resolution),
+                     lambda d, vals: np.polyfit(np.log(d), np.log(vals), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .domains import Domain, build_grid
 from .energy import ExponentPair
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
 from .operator import assemble
-from .solvers import SolverConfig, solve_system
+from .solvers import SOLVERS, SolverConfig, solve_system
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -146,7 +146,7 @@ def _validated(cfg: dict) -> dict:
     if not 0 < out["residual_tol"] < float("inf"):
         raise ConfigurationError(f"residual_tol must be positive and finite, "
                                  f"got {out['residual_tol']}")
-    if out["solver"] not in ("auto", "sublinear", "mountain_pass"):
+    if out["solver"] not in SOLVERS:
         raise ConfigurationError(f"unknown solver {out['solver']!r}")
     if out["init"] not in INITS:
         raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
@@ -397,11 +397,12 @@ def cmd_phase_diagram(args) -> int:
                  "rellich_rhs_factor,verdict\n")
         for record in records:
             inp = record["input"]
+            verdict = record["verdict"].splitlines()[0] if record["verdict"] else ""
+            verdict = verdict.replace('"', '""')  # RFC 4180: a quote inside a quoted field doubles
             fh.write(
                 f"{inp.get('p')},{inp.get('q')},{record['regime']},{record['converged']},"
                 f"{record['method']},{record['energy_value']},{record['residual_u']},"
-                f"{record['residual_v']},{record['rellich_rhs_factor']},"
-                f"\"{(record['verdict'] or '').splitlines()[0] if record['verdict'] else ''}\"\n"
+                f"{record['residual_v']},{record['rellich_rhs_factor']},\"{verdict}\"\n"
             )
     print(f"{len(records)} points -> {csv_path}")
     for record in records:
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(sol)
     sol.add_argument("--p", type=float)
     sol.add_argument("--q", type=float)
-    sol.add_argument("--solver", choices=["auto", "sublinear", "mountain_pass"])
+    sol.add_argument("--solver", choices=SOLVERS)
     sol.add_argument("--init", choices=INITS)
     sol.add_argument("--second-init", dest="second_init", choices=INITS,
                      help="run a second solve from this start and report the gap")

@@ -19,7 +19,8 @@ from .errors import ConfigurationError
 
 MIN_RESOLUTION = 8
 
-_KINDS = ("interval", "rectangle", "disk")
+# the keys each kind takes; a key of another kind is an error, not ignored
+_KEYS = {"interval": ("endpoints",), "rectangle": ("sides", "center"), "disk": ("radius", "center")}
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,24 @@ class Domain:
     endpoints: (a, b) for intervals.
     sides: (length_x, length_y) for rectangles.
     radius: disk radius.
-    center: center point (1 or 2 coordinates; the interval center is derived
-        from its endpoints and must not be supplied separately).
+    center: center point (2 coordinates, default the origin; the interval
+        center is derived from its endpoints and must not be supplied).
+    Supplying a key of another kind is a ConfigurationError.
     """
 
     kind: str
     endpoints: tuple | None = None
     sides: tuple | None = None
     radius: float | None = None
-    center: tuple = ()
+    center: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KEYS:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
+        foreign = [key for key in ("endpoints", "sides", "radius", "center")
+                   if key not in _KEYS[self.kind] and getattr(self, key) is not None]
+        if foreign:
+            raise ConfigurationError(f"{self.kind} does not take {', '.join(foreign)}")
         if self.kind == "interval":
             if self.endpoints is None or len(self.endpoints) != 2:
                 raise ConfigurationError("interval needs endpoints=(a, b)")

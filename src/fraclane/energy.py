@@ -21,8 +21,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .operator import FractionalOperator
 
-REGIMES = ("sublinear", "resonant", "superlinear_subcritical", "critical", "supercritical")
-
 
 def _as_exact(value):
     """Fraction when the value is exactly rational-typed, else None."""

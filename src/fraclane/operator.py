@@ -185,7 +185,6 @@ class FractionalOperator:
         self.grid = grid
         self.s = s
         self.n = grid.dim
-        self.constant = normalization_constant(grid.dim, s)
         self.matrix = matrix
         self.singular_correction = singular_correction
         self._factor = None

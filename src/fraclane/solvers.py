@@ -38,6 +38,7 @@ from .errors import ConfigurationError, NonconvergenceError, ResonantProblemErro
 from .operator import FractionalOperator
 
 __all__ = [
+    "SOLVERS",
     "SolverConfig",
     "SolutionPair",
     "initial_guess",
@@ -49,24 +50,28 @@ __all__ = [
 ]
 
 
+SOLVERS = ("auto", "sublinear", "mountain_pass")
+
+GRADIENT_TOL = 1e-10     # descent stationarity target, relative to operator scale
+ARMIJO = 1e-4            # sufficient-decrease constant
+PATH_NODES = 20          # mountain-pass path segments
+MP_SMOOTHING = 1e-6      # smoothing used during path deformation
+MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
+MAX_RESTARTS = 3         # mountain-pass collapse restarts
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the solver pipelines.  A fixed config (seed included) makes
     every run bitwise deterministic."""
 
     max_iter: int = 2000                 # descent ceiling across all smoothing stages
-    gradient_tol: float = 1e-10          # stationarity target, relative to operator scale
     residual_tol: float = 1e-8           # equation-residual acceptance threshold
-    armijo: float = 1e-4                 # sufficient-decrease constant
     smoothing_schedule: tuple = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
     seed: int = 0
     init: str = "bump"                   # zero | bump | random | supplied
     init_values: object = None           # used when init == "supplied"
-    path_nodes: int = 20                 # mountain-pass path segments
     mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
-    mp_smoothing: float = 1e-6           # smoothing used during path deformation
-    mp_step_fraction: float = 0.25       # per-sweep cap on the deformed node's move
-    max_restarts: int = 3                # mountain-pass collapse restarts
     newton_max_iter: int = 150
     newton_step_cap: float = 0.5         # cap as a fraction of the current sup-norm
 
@@ -319,7 +324,7 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     handoff = _NewtonHandoff(op, exps, cfg, trace)
     per_stage = max(1, cfg.max_iter // max(len(cfg.smoothing_schedule), 1))
     for eps in cfg.smoothing_schedule:
-        stage_tol = max(cfg.gradient_tol * op.scale, 0.02 * eps)
+        stage_tol = max(GRADIENT_TOL * op.scale, 0.02 * eps)
         au = op.apply(u)  # recomputed per stage to bound the drift of the carried product
         phi = energy(op, u, exps, eps, au=au).value
         for _ in range(per_stage):
@@ -341,7 +346,7 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
                 candidate = u + alpha * direction
                 au_new = au + alpha * ad
                 phi_new = energy(op, candidate, exps, eps, au=au_new).value
-                if phi_new <= phi + cfg.armijo * alpha * slope:
+                if phi_new <= phi + ARMIJO * alpha * slope:
                     break
                 alpha *= 0.5
             u, au, phi = candidate, au_new, phi_new
@@ -428,7 +433,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             f"regime is {regime}; pass allow_any_superlinear=True to run the "
             "mountain pass as a diagnostic there"
         )
-    eps = cfg.mp_smoothing
+    eps = MP_SMOOTHING
     bump_cfg = replace(cfg, init="bump")
     bump = initial_guess(op.grid, bump_cfg)
     t = 1.0
@@ -441,8 +446,8 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     trace = []
     sweeps_budget = cfg.mp_sweeps
     sweeps_run = 0
-    m = cfg.path_nodes
-    for restart in range(cfg.max_restarts + 1):
+    m = PATH_NODES
+    for restart in range(MAX_RESTARTS + 1):
         handoff = (_NewtonHandoff(op, exps, cfg, trace, floor=1e-6 * t)
                    if regime == "superlinear_subcritical" else None)
         path = (np.arange(m + 1) / m * t)[:, None] * bump
@@ -456,12 +461,12 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                 return _finish(trial, "mountain_pass", trace, sweeps_run + sweep, cfg)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
             direction = -op.solve(defect)
-            cap = cfg.mp_step_fraction * max(float(np.max(np.abs(ridge))), 1e-3 * t)
+            cap = MP_STEP_FRACTION * max(float(np.max(np.abs(ridge))), 1e-3 * t)
             alpha = min(1.0, cap / max(float(np.max(np.abs(direction))), 1e-300))
             slope = float(np.dot(g, direction))
             for _ in range(40):
                 candidate = ridge + alpha * direction
-                if energy_value(op, candidate, exps, eps) <= phi0 + cfg.armijo * alpha * slope:
+                if energy_value(op, candidate, exps, eps) <= phi0 + ARMIJO * alpha * slope:
                     break
                 alpha *= 0.5
             path[j] = candidate
@@ -486,7 +491,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                       "energy": float("nan"),
                       "stationarity": float("nan")})
     raise NonconvergenceError(
-        f"mountain pass failed after {cfg.max_restarts + 1} attempts "
+        f"mountain pass failed after {MAX_RESTARTS + 1} attempts "
         f"(last polish: {polished.message or 'collapsed to a non-positive state'})",
         trace=trace,
     )
@@ -523,7 +528,7 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     domains) the mountain pass runs as a diagnostic and its nonconvergence
     is the expected, reported outcome.
     """
-    if solver not in ("auto", "sublinear", "mountain_pass"):
+    if solver not in SOLVERS:
         raise ConfigurationError(f"unknown solver {solver!r}")
     if solver == "sublinear":
         return minimize_sublinear(op, exps, cfg)

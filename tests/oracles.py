@@ -193,3 +193,88 @@ def resample_path_by_node(path: list) -> list:
         out.append(pts[i] + frac * (pts[i + 1] - pts[i]))
     out.append(path[m])
     return out
+
+
+# ---------------------------------------------------------------------------
+# boundary fits sampled one ray at a time (reference for the array form)
+
+
+def _box_values(grid, u: np.ndarray) -> np.ndarray:
+    """Grid function extended by zero to the full bounding-box lattice."""
+    full = np.zeros((grid.resolution,) * grid.dim)
+    full[tuple(grid.lattice.T)] = u
+    return full
+
+
+def _interp1(grid, full: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    (lo, _), = grid.domain.bounding_box
+    t = (xs - lo) / grid.h[0] - 0.5
+    i0 = np.floor(t).astype(int)
+    frac = t - i0
+
+    def val(idx):
+        v = np.zeros_like(xs)
+        ok = (idx >= 0) & (idx < grid.resolution)
+        v[ok] = full[idx[ok]]
+        return v
+
+    return (1 - frac) * val(i0) + frac * val(i0 + 1)
+
+
+def _interp2(grid, full: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    box = grid.domain.bounding_box
+    res = grid.resolution
+    t1 = (pts[:, 0] - box[0][0]) / grid.h[0] - 0.5
+    t2 = (pts[:, 1] - box[1][0]) / grid.h[1] - 0.5
+    i0 = np.floor(t1).astype(int)
+    j0 = np.floor(t2).astype(int)
+    f1 = t1 - i0
+    f2 = t2 - j0
+
+    def val(ii, jj):
+        v = np.zeros(pts.shape[0])
+        ok = (ii >= 0) & (ii < res) & (jj >= 0) & (jj < res)
+        v[ok] = full[ii[ok], jj[ok]]
+        return v
+
+    return ((1 - f1) * (1 - f2) * val(i0, j0) + f1 * (1 - f2) * val(i0 + 1, j0)
+            + (1 - f1) * f2 * val(i0, j0 + 1) + f1 * f2 * val(i0 + 1, j0 + 1))
+
+
+def _fits_by_ray(u, grid, trace, window, fit) -> tuple:
+    """(values, ok, window): each ray sampled at (k-1/2)*h_ray, k in the
+    window, and fitted on its positive samples when it has at least 4."""
+    full = _box_values(grid, u)
+    h_ray = min(grid.h)
+    dist = (np.arange(window[0], window[1] + 1) - 0.5) * h_ray
+    values = np.full(len(trace.weights), np.nan)
+    ok = np.zeros(len(trace.weights), dtype=bool)
+    for b in range(len(trace.weights)):
+        pts = trace.points[b][None, :] - dist[:, None] * trace.normals[b][None, :]
+        vals = _interp1(grid, full, pts[:, 0]) if grid.dim == 1 else _interp2(grid, full, pts)
+        usable = vals > 0
+        if int(np.sum(usable)) < 4:
+            continue
+        values[b] = fit(dist[usable], vals[usable], h_ray)
+        ok[b] = True
+    return values, ok, window
+
+
+def boundary_quotient_by_ray(u, grid, trace, s: float) -> tuple:
+    """Per-ray least squares of log u - s log d on {1, d, (d/h)^-(2-2s)}
+    over k in [2, max(12, 1.2 sqrt(resolution))]."""
+    def fit(d, vals, h_ray):
+        y = np.log(vals) - s * np.log(d)
+        design = np.stack([np.ones(len(d)), d, (d / h_ray) ** (-(2.0 - 2.0 * s))], axis=1)
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        return float(np.exp(coef[0]))
+
+    window = (2, max(12, round(1.2 * np.sqrt(grid.resolution))))
+    return _fits_by_ray(u, grid, trace, window, fit)
+
+
+def boundary_exponent_by_ray(u, grid, trace) -> tuple:
+    """Per-ray log-log slope over k in [k0, 2 k0], k0 = max(3, 0.4 sqrt(resolution))."""
+    k0 = max(3, round(0.4 * np.sqrt(grid.resolution)))
+    return _fits_by_ray(u, grid, trace, (k0, 2 * k0),
+                        lambda d, vals, _: float(np.polyfit(np.log(d), np.log(vals), 1)[0]))

@@ -14,6 +14,7 @@ from fraclane import (
     ExponentPair,
     boundary_exponent_fit,
     boundary_quotient,
+    boundary_trace,
     build_grid,
     maximum_principle_audit,
     operator_invariants,
@@ -136,6 +137,31 @@ def test_exponent_fit_on_torsion_profile_tightens_with_resolution():
     assert errs[128] <= 0.05
     assert errs[512] <= 0.02
     assert errs[512] < errs[128]
+
+
+@pytest.mark.parametrize("domain, res", [
+    (Domain.interval(-1.0, 1.0), 256),
+    (Domain.rectangle(2.0, 1.0), 17),
+    (Domain.disk(1.0), 33),
+    (Domain.disk(1.0, center=(0.3, -0.2)), 24),
+])
+def test_boundary_fits_match_the_per_ray_oracle_bitwise(domain, res):
+    """The array-form sampler against the point-by-point one; the half-zeroed
+    profile makes some rays fail the 4-sample rule."""
+    grid = build_grid(domain, res)
+    tr = boundary_trace(grid)
+    smooth = grid.d ** 0.5 * (1.0 + 0.3 * grid.x[:, 0])
+    half = np.where(grid.x[:, -1] > 0.1 * grid.h[-1], grid.d ** 0.4, 0.0)
+    for u in (smooth, half):
+        got = boundary_quotient(u, grid, 0.5)
+        ref = oracles.boundary_quotient_by_ray(u, grid, tr, 0.5)
+        assert (got.values.tobytes(), got.ok.tolist(), got.window) == (
+            ref[0].tobytes(), ref[1].tolist(), ref[2])
+        got = boundary_exponent_fit(u, grid)
+        ref = oracles.boundary_exponent_by_ray(u, grid, tr)
+        assert (got.values.tobytes(), got.ok.tolist(), got.window) == (
+            ref[0].tobytes(), ref[1].tolist(), ref[2])
+    assert not boundary_quotient(half, grid, 0.5).ok.all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: argument handling, exit codes, record and table
 outputs, round-trip reproducibility."""
 
+import csv
 import importlib
 import json
 import sys
@@ -158,6 +159,17 @@ def test_configuration_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_domain_keys_of_another_kind_exit_4(tmp_path, capsys):
+    out = tmp_path / "contradictory"
+    assert run("solve", "--domain-kind", "disk", "--radius", 1, "--sides", 5, 5,
+               "--endpoints", 0, 3, "--p", 2, "--q", 2, "--resolution", 16,
+               "--outdir", out) == 4
+    assert "disk does not take endpoints, sides" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("solve", "--domain-kind", "interval", "--endpoints", 0, 3, "--center", 1,
+               "--p", 2, "--q", 2, "--resolution", 16, "--outdir", out) == 4
+
 def test_malformed_config_values_exit_4(tmp_path, capsys):
     for index, bad in enumerate([
         {"p": "abc"},
@@ -304,6 +316,17 @@ def test_phase_diagram_sweep(tmp_path):
     assert csv_lines[0].startswith("p,q,regime,converged,method")
     assert len(csv_lines) == 6
 
+
+
+def test_phase_diagram_csv_quotes_embedded_quotes(tmp_path):
+    cfg = tmp_path / "quote.json"
+    cfg.write_text(json.dumps({"domain": {"kind": "it's"}}))
+    out = tmp_path / "quote"
+    assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5", "--outdir", out) == 0
+    with open(out / "phase_diagram.csv", newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert len(row) == len(header)
+    assert row[-1] == "configuration error: unknown domain kind \"it's\""
 
 def _without_run_details(record):
     record = dict(record, input=dict(record["input"]))

@@ -52,6 +52,20 @@ def test_invalid_domains_rejected():
         Domain.rectangle(0.0, 1.0)
 
 
+
+def test_keys_of_another_kind_rejected():
+    for kwargs in ({"kind": "disk", "radius": 1.0, "sides": [5, 5], "endpoints": [0, 3]},
+                   {"kind": "interval", "endpoints": (0.0, 1.0), "center": (0.5,)},
+                   {"kind": "interval", "endpoints": (0.0, 1.0), "radius": 1.0},
+                   {"kind": "rectangle", "sides": (2.0, 1.0), "radius": 1.0}):
+        with pytest.raises(ConfigurationError, match="does not take"):
+            Domain(**kwargs)
+    # every stored value is a tuple or a float, so domains hash and compare
+    rect = Domain("rectangle", sides=[2, 1], center=[0, 0])
+    assert hash(rect) == hash(Domain.rectangle(2.0, 1.0))
+    assert {Domain("interval", endpoints=[0, 3]), Domain.disk(1.0)} == {
+        Domain.interval(0.0, 3.0), Domain("disk", radius=1, center=[0, 0])}
+
 def test_contains_is_strict():
     dom = Domain.interval(-1.0, 1.0)
     pts = np.array([[-1.0], [-0.999], [0.0], [1.0], [1.5]])

@@ -27,6 +27,7 @@ from fraclane import (
     recover_v,
     solve_system,
 )
+from fraclane.solvers import MAX_RESTARTS
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +478,7 @@ def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
             attempts = 1 + sum(e["iter"] == -1 for e in trace)
         except NonconvergenceError as exc:
             trace = exc.trace
-            attempts = cfg.max_restarts + 1
+            attempts = MAX_RESTARTS + 1
         assert not any(e["stage"] == "newton_handoff" for e in trace)
         assert calls["gradient"] == sum(cfg.mp_sweeps * 2**k for k in range(attempts))
         for k in range(attempts):
