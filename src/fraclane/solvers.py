@@ -11,7 +11,8 @@ Three layers:
   low-energy state until its maximal node is in Newton's basin, tested by
   the same trial Newton runs.
 * newton_polish — undamped Newton with a step cap on the coupled system,
-  used as the finishing stage by both pipelines and usable on its own.
+  its step solved by GMRES, used as the finishing stage by both pipelines
+  and usable on its own.
 
 Positivity is never enforced by projection; it must emerge from the
 discrete maximum principle and is then asserted on the accepted pair.
@@ -19,10 +20,11 @@ discrete maximum principle and is then asserted on the accepted pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import solve_triangular
 
 from .domains import Grid
 from .energy import (
@@ -58,6 +60,8 @@ PATH_NODES = 20          # mountain-pass path segments
 MP_SMOOTHING = 1e-6      # smoothing used during path deformation
 MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
 MAX_RESTARTS = 3         # mountain-pass collapse restarts
+KRYLOV_MAX_ITER = 60     # GMRES budget of one Newton step
+KRYLOV_RTOL = 1e-12      # GMRES tolerance, relative to the step's right-hand side
 
 
 @dataclass(frozen=True)
@@ -169,22 +173,67 @@ def _power_derivative(x: np.ndarray, e: float) -> np.ndarray:
     return np.where(x > 0.0, full, 0.0)
 
 
+def _gmres(matvec, b: np.ndarray) -> tuple:
+    """Unrestarted GMRES for M x = b from x = 0: (x, Arnoldi steps taken).
+
+    The Krylov basis is built by classical Gram-Schmidt applied twice (CGS2)
+    in a preallocated (KRYLOV_MAX_ITER + 1, N) array, and the Hessenberg
+    columns are reduced by Givens rotations on Python floats.  x is None on
+    breakdown (a zero Krylov vector before the residual is below
+    KRYLOV_RTOL |b|) and when the budget runs out.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    basis = np.empty((KRYLOV_MAX_ITER + 1, b.size))
+    np.divide(b, beta, out=basis[0])
+    hess = np.zeros((KRYLOV_MAX_ITER, KRYLOV_MAX_ITER))  # Hessenberg columns, rotated
+    rotations, g = [], [beta]
+    for k in range(KRYLOV_MAX_ITER):
+        w = matvec(basis[k])
+        q = basis[:k + 1]
+        h = q @ w
+        w -= h @ q
+        h2 = q @ w
+        w -= h2 @ q
+        col, sub = (h + h2).tolist(), float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        r = math.hypot(col[k], sub)
+        if r == 0.0:
+            return None, k + 1
+        rotations.append((col[k] / r, sub / r))
+        col[k] = r
+        hess[:k + 1, k] = col
+        g.append(-sub / r * g[k])
+        g[k] *= rotations[-1][0]
+        if abs(g[k + 1]) <= KRYLOV_RTOL * beta:
+            return solve_triangular(hess[:k + 1, :k + 1], g[:k + 1]) @ q, k + 1
+        np.divide(w, sub, out=basis[k + 1])
+    return None, KRYLOV_MAX_ITER
+
+
 def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                   exps: ExponentPair, cfg: SolverConfig = SolverConfig(),
                   *, _monotone: bool = False) -> SolutionPair:
     """Newton iteration on F(u,v) = (A u - (v_+)^p, A v - (u_+)^q).
 
-    The step never forms the 2N x 2N Jacobian [[A, -D_v], [-D_u, A]]
-    (D_v = diag p v_+^(p-1), D_u = diag q u_+^(q-1)).  It LU-solves the
-    N x N Schur complement S = A - D_u A^{-1} D_v instead:
+    The step of the Jacobian [[A, -D_v], [-D_u, A]] (D_v = diag p v_+^(p-1),
+    D_u = diag q u_+^(q-1)) is eliminated to its v half,
 
-        S s_v = -f_v - D_u A^{-1} f_u,    s_u = A^{-1} (D_v s_v - f_u),
+        (I - A^{-1} D_u A^{-1} D_v) s_v = A^{-1} (-f_v - D_u A^{-1} f_u),
+        s_u = A^{-1} D_v s_v - A^{-1} f_u,
 
-    with A^{-1} formed once per call from the cached Cholesky factor when
-    the first step is taken.  A is SPD, so S is singular exactly when the
-    Jacobian is.  Both N x N buffers are Fortran-ordered and LAPACK works
-    on them in place (A^{-1} overwrites an identity, the LU factors of S
-    overwrite S), so a call holds two N x N arrays besides A and its factor.
+    and the reduced system, the identity plus a compact operator, is solved
+    by GMRES in a number of iterations that hardly depends on the mesh.
+    Each GMRES iteration costs two `op.solve` calls; no N x N array is
+    formed, and Newton reads only `op.apply` and `op.solve`.  The GMRES
+    tolerance is fixed: one that loosens with the Newton residual
+    (Eisenstat-Walker) moves the critical and supercritical diagnostics to
+    other outcomes.  A GMRES breakdown or an exhausted Krylov budget is
+    reported as a singular Jacobian.  Each "newton" trace entry carries the
+    GMRES iteration count of the step taken from it ("krylov", 0 when no
+    step is taken).
 
     Steps are capped at a fraction of the current sup-norm instead of being
     damped by a residual-decrease rule: near the saddle points of this
@@ -206,12 +255,12 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     tol = min(max(cfg.residual_tol * 1e-3, floor), cfg.residual_tol)
     trace = []
     res = np.inf
-    ainv = None
     for it in range(cfg.newton_max_iter):
         up, vp = np.maximum(u, 0.0), np.maximum(v, 0.0)
         f_u, f_v = op.apply(u) - vp**p, op.apply(v) - up**q
         res, previous = max(float(np.max(np.abs(f_u))), float(np.max(np.abs(f_v)))), res
-        trace.append({"stage": "newton", "iter": it, "residual": res})
+        entry = {"stage": "newton", "iter": it, "residual": res, "krylov": 0}
+        trace.append(entry)
         if _monotone and not (np.min(u) > 0.0 and np.min(v) > 0.0):
             return _pair(op, u, v, exps, False, "newton_polish", it, trace,
                          message=f"lost positivity at iteration {it}")
@@ -220,25 +269,14 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                          message=f"no contraction at iteration {it}")
         if res <= tol:
             return _pair(op, u, v, exps, True, "newton_polish", it, trace)
-        if ainv is None:
-            ainv = cho_solve(op.factor(), np.eye(op.n_nodes, order="F"),
-                             overwrite_b=True, check_finite=False)
-            schur = np.empty_like(ainv)
-            getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (schur,))
-            # SciPy's BLAS for the products too: switching between NumPy's and
-            # SciPy's OpenBLAS thread pools inside a step makes them spin
-            gemv = get_blas_funcs("gemv", (ainv,))
         du, dv = _power_derivative(u, q), _power_derivative(v, p)
-        np.multiply(du[:, None], ainv, out=schur)
-        schur *= dv
-        np.subtract(op.matrix, schur, out=schur)
-        ainv_fu = gemv(1.0, ainv, f_u)
-        lu, piv, info = getrf(schur, overwrite_a=True)
-        if info > 0:  # an exactly zero pivot: S, hence the Jacobian, is singular
+        ainv_fu = op.solve(f_u)
+        step_v, entry["krylov"] = _gmres(lambda x: x - op.solve(du * op.solve(dv * x)),
+                                         op.solve(-f_v - du * ainv_fu))
+        if step_v is None:
             return _pair(op, u, v, exps, False, "newton_polish", it, trace,
                          message=f"singular Jacobian at iteration {it}")
-        step_v, _ = getrs(lu, piv, -f_v - du * ainv_fu)
-        step_u = gemv(1.0, ainv, dv * step_v) - ainv_fu
+        step_u = op.solve(dv * step_v) - ainv_fu
         cap = cfg.newton_step_cap * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
         step_sup = max(float(np.max(np.abs(step_u))), float(np.max(np.abs(step_v))))
         scale = min(1.0, cap / max(step_sup, 1e-300))
@@ -479,9 +517,6 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         j, _, a_ridge = _path_max(op, path, exps, eps)
         ridge = path[j].copy()
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
-        # free the path arrays before the polish: left alive, they split the
-        # heap hole its N x N buffers would reuse, and the peak RSS grows by N^2
-        del path, a_ridge
         polished = newton_polish(op, ridge, v0, exps, cfg)
         if not _collapsed(polished, 1e-6 * t):
             return _finish(polished, "mountain_pass", trace, sweeps_run, cfg)

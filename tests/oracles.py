@@ -148,6 +148,24 @@ def scalar_branch(op, p: float, power_iters: int = 40, newton_iters: int = 100,
     return u
 
 
+def block_newton_step(op, u: np.ndarray, v: np.ndarray, p: float, q: float) -> np.ndarray:
+    """The Newton step (s_u, s_v) of A u = (v_+)^p, A v = (u_+)^q by a dense
+    solve with the assembled 2N x 2N Jacobian [[A, -D_v], [-D_u, A]], the
+    derivatives taken one-sided (0 where the argument is not positive)."""
+    def derivative(x, e):
+        d = np.zeros_like(x)
+        d[x > 0] = e * x[x > 0] ** (e - 1.0)
+        return d
+
+    f = np.concatenate([op.apply(u) - np.maximum(v, 0.0) ** p,
+                        op.apply(v) - np.maximum(u, 0.0) ** q])
+    jac = np.block([
+        [op.matrix, -np.diag(derivative(v, p))],
+        [-np.diag(derivative(u, q)), op.matrix],
+    ])
+    return np.linalg.solve(jac, -f)
+
+
 # ---------------------------------------------------------------------------
 # node-by-node mountain-pass path steps (reference for the array form)
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import fraclane.solvers
 import oracles
@@ -143,24 +144,6 @@ def test_newton_polish_jacobian_finite_where_positive_part_vanishes(setup64):
     assert pair.iterations <= 4
 
 
-def _one_sided_derivative(x, e):
-    d = np.zeros_like(x)
-    d[x > 0] = e * x[x > 0] ** (e - 1.0)
-    return d
-
-
-def _block_newton_step(op, u, v, p, q):
-    """The full Newton step from the assembled 2N x 2N Jacobian: the oracle
-    for the eliminated step inside newton_polish."""
-    f = np.concatenate([op.apply(u) - np.maximum(v, 0.0) ** p,
-                        op.apply(v) - np.maximum(u, 0.0) ** q])
-    jac = np.block([
-        [op.matrix, -np.diag(_one_sided_derivative(v, p))],
-        [-np.diag(_one_sided_derivative(u, q)), op.matrix],
-    ])
-    return np.linalg.solve(jac, -f)
-
-
 def _newton_step_cases():
     grid = build_grid(Domain.interval(-1.0, 1.0), 64)
     op = assemble(grid, 0.5)
@@ -182,14 +165,14 @@ def test_newton_step_matches_full_jacobian_solve():
         pair = newton_polish(op, u, v, exps, cfg)
         assert not pair.converged and pair.iterations == 1
         step = np.concatenate([pair.u - u, pair.v - v])
-        ref = _block_newton_step(op, u, v, exps.pf, exps.qf)
+        ref = oracles.block_newton_step(op, u, v, exps.pf, exps.qf)
         assert step.shape == (2 * m,)
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_newton_polish_allocates_no_block_jacobian():
-    # the 2N x 2N Jacobian alone is 4 N^2 doubles; the elimination keeps
-    # A^{-1} and the N x N Schur complement, both factored in place
+def test_newton_polish_allocates_no_square_array():
+    # an N x N array alone is N^2 doubles; the Krylov step holds a (61, N)
+    # basis and a few vectors
     grid = build_grid(Domain.interval(-1.0, 1.0), 600)
     op = assemble(grid, 0.5)
     op.factor()  # the operator's cached factor is not newton_polish's allocation
@@ -203,7 +186,57 @@ def test_newton_polish_allocates_no_block_jacobian():
         tracemalloc.stop()
     assert pair.iterations == 2  # two steps were taken
     n = op.n_nodes
-    assert peak < 4 * n * n * 8
+    assert peak < 0.5 * n * n * 8
+
+
+def _perturbed_superlinear_start(resolution):
+    """An operator on (-1, 1) at s = 1/2 and a 5% smooth perturbation of the
+    p = q = 2 solution (u = v, from the scalar-branch oracle)."""
+    grid = build_grid(Domain.interval(-1.0, 1.0), resolution)
+    op = assemble(grid, 0.5)
+    u = oracles.scalar_branch(op, 2.0)
+    x = grid.x[:, 0]
+    return op, u * (1.0 + 0.05 * np.cos(2.0 * x)), u * (1.0 - 0.05 * np.sin(3.0 * x))
+
+
+def test_newton_krylov_iterations_do_not_grow_with_the_mesh():
+    counts = []
+    for resolution in (64, 1024):
+        op, u, v = _perturbed_superlinear_start(resolution)
+        pair = newton_polish(op, u, v, ExponentPair(2.0, 2.0))
+        assert pair.accepted
+        counts.append([e["krylov"] for e in pair.trace if e["krylov"]])
+    coarse, fine = counts
+    assert len(coarse) == len(fine) >= 2
+    assert all(abs(a - b) <= 1 for a, b in zip(coarse, fine))
+    assert max(coarse + fine) <= 12
+
+
+class _ApplySolveOnly:
+    """The operator interface Newton needs and nothing more: no matrix and no
+    factor to reach for."""
+
+    __slots__ = ("apply", "solve", "scale", "grid", "n_nodes", "n", "s")
+
+    def __init__(self, op):
+        matrix, factor = op.matrix.copy(), cho_factor(op.matrix)
+        self.apply = lambda u: matrix @ u
+        self.solve = lambda f: cho_solve(factor, f, check_finite=False)
+        self.scale, self.grid, self.n_nodes, self.n, self.s = (
+            op.scale, op.grid, op.n_nodes, op.n, op.s)
+
+
+def test_newton_polish_needs_only_apply_and_solve(setup64):
+    _, op = setup64
+    duck = _ApplySolveOnly(op)
+    assert not hasattr(duck, "matrix") and not hasattr(duck, "factor")
+    u0, v0 = oracles.fixed_point_solution(op, 0.5, 0.5)
+    start_u, start_v = 1.05 * u0, 0.95 * v0
+    pair = newton_polish(duck, start_u, start_v, ExponentPair(0.5, 0.5))
+    assert pair.accepted and pair.iterations >= 2
+    assert np.max(np.abs(pair.u - u0)) <= 1e-8 * np.max(u0)
+    dense = newton_polish(op, start_u, start_v, ExponentPair(0.5, 0.5))
+    assert np.array_equal(pair.u, dense.u) and np.array_equal(pair.v, dense.v)
 
 
 # ---------------------------------------------------------------------------
