@@ -10,6 +10,10 @@ them in closed form makes the matrix diagonal a single constant — the total
 kernel mass outside the singular cell — and the assembly exact up to the
 per-cell quadrature of the kernel, with no separately truncated tail.
 
+Every entry depends only on the lattice offset between its two nodes, so
+assembly tabulates the entries once per offset, mirrors the table to every
+signed offset, and gathers the matrix from it a row block at a time.
+
 The resulting dense matrix is symmetric with positive diagonal and
 nonpositive off-diagonal entries (an M-matrix), which yields the discrete
 maximum principle used throughout.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.special import gamma
 
 from .domains import Grid
@@ -116,27 +120,24 @@ def _ktotal_1d(h: float, s: float) -> float:
     return (h / 2.0) ** (-2 * s) / s
 
 
-def _beta_table_2d(kx: int, ky: int, h1: float, h2: float, s: float) -> np.ndarray:
-    """Gauss-Legendre integrals of |y|^(-2-2s) over each offset cell.
+def _beta_table_2d(k: int, h1: float, h2: float, s: float) -> np.ndarray:
+    """Gauss-Legendre integrals of |y|^(-2-2s) over the offset cells
+    0 <= k1, k2 <= k but (0, 0), whose entry is 0.
 
     The kernel is steep near the origin, so the quadrature order is graded
-    by the offset's Chebyshev distance.
+    by the offset's Chebyshev distance.  Each cell's m*m terms are summed
+    as one contiguous run, the same pairwise sum as a per-cell np.sum.
     """
-    table = np.zeros((kx + 1, ky + 1))
-    rules = {}
-    for k1 in range(kx + 1):
-        for k2 in range(ky + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            m = 12 if max(k1, k2) <= 2 else (6 if max(k1, k2) <= 8 else 4)
-            if m not in rules:
-                rules[m] = leggauss(m)
-            gx, gw = rules[m]
-            xs = k1 * h1 + 0.5 * h1 * gx
-            ys = k2 * h2 + 0.5 * h2 * gx
-            r2 = xs[:, None] ** 2 + ys[None, :] ** 2
-            wts = (0.5 * h1 * gw)[:, None] * (0.5 * h2 * gw)[None, :]
-            table[k1, k2] = float(np.sum(wts * r2 ** (-1.0 - s)))
+    k1, k2 = np.indices((k + 1, k + 1))
+    cheb = np.maximum(k1, k2)
+    table = np.zeros((k + 1, k + 1))
+    for m, cells in ((12, (cheb > 0) & (cheb <= 2)), (6, (cheb > 2) & (cheb <= 8)), (4, cheb > 8)):
+        gx, gw = leggauss(m)
+        xs = k1[cells][:, None] * h1 + 0.5 * h1 * gx
+        ys = k2[cells][:, None] * h2 + 0.5 * h2 * gx
+        r2 = xs[:, :, None] ** 2 + ys[:, None, :] ** 2
+        wts = (0.5 * h1 * gw)[:, None] * (0.5 * h2 * gw)[None, :]
+        table[cells] = (wts * r2 ** (-1.0 - s)).reshape(-1, m * m).sum(axis=1)
     return table
 
 
@@ -204,13 +205,18 @@ class FractionalOperator:
     def factor(self):
         if self._factor is None:
             self._factor = cho_factor(self.matrix)
+            (self._potrs,) = get_lapack_funcs(("potrs",), (self._factor[0],))
         return self._factor
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """Solve A w = f by the cached Cholesky factor.  No finiteness scan:
-        the factor comes from the assembled, finite matrix, and a
-        non-finite f gives a non-finite w instead of an error."""
-        return cho_solve(self.factor(), f, check_finite=False)
+        """Solve A w = f by the cached Cholesky factor (LAPACK potrs, as in
+        cho_solve without its checks).  No finiteness scan: the factor is of
+        a finite matrix, and a non-finite f gives a non-finite w."""
+        factor, lower = self.factor()
+        w, info = self._potrs(factor, f, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+        return w
 
     @property
     def scale(self) -> float:
@@ -229,40 +235,31 @@ def assemble(grid: Grid, s: float, singular_correction: bool = False) -> Fractio
     """
     s = _check_order(s)
     c = normalization_constant(grid.dim, s)
-    lat = grid.lattice
-    if grid.dim == 1:
-        h = grid.h[0]
-        beta = _beta_1d(grid.resolution - 1, h, s) if grid.resolution > 1 else np.empty(0)
-        diff = np.abs(lat[:, 0][:, None] - lat[:, 0][None, :])
-        matrix = np.zeros((grid.n_nodes, grid.n_nodes))
-        off = diff > 0
-        matrix[off] = -c * beta[diff[off] - 1]
-        np.fill_diagonal(matrix, c * _ktotal_1d(h, s))
+    res, dim = grid.resolution, grid.dim
+    # kern[|offset| per axis]: c K_total at offset 0, -c beta elsewhere
+    if dim == 1:
+        kern = np.concatenate([[c * _ktotal_1d(*grid.h, s)], -c * _beta_1d(res - 1, *grid.h, s)])
     else:
-        h1, h2 = grid.h
-        table = _beta_table_2d(grid.resolution - 1, grid.resolution - 1, h1, h2, s)
-        d1 = np.abs(lat[:, 0][:, None] - lat[:, 0][None, :])
-        d2 = np.abs(lat[:, 1][:, None] - lat[:, 1][None, :])
-        matrix = -c * table[d1, d2]
-        np.fill_diagonal(matrix, c * _ktotal_2d(h1, h2, s))
+        kern = -c * _beta_table_2d(res - 1, *grid.h, s)
+        kern[0, 0] = c * _ktotal_2d(*grid.h, s)
     if singular_correction:
-        _add_singular_correction(matrix, grid, s, c)
+        # the curvature stencil is a function of the offset too: 2 coeff at 0
+        # and -coeff at +-1 per axis (a neighbour outside the domain is 0)
+        for axis, moment in enumerate(_second_moments(dim, grid.h, s)):
+            coeff = 0.5 * c * moment / grid.h[axis] ** 2
+            kern[(0,) * dim] += 2.0 * coeff
+            kern[tuple(np.eye(dim, dtype=int)[axis])] -= coeff
+    # mirrored to every signed offset and flattened: two nodes' flat
+    # positions in that box differ by their offset's flat position
+    box = (2 * res - 1,) * dim
+    full = kern[np.ix_(*[np.abs(np.arange(1 - res, res))] * dim)].ravel()
+    pos = np.ravel_multi_index(tuple(grid.lattice.T), box)
+    center = np.ravel_multi_index((res - 1,) * dim, box)
+    n = grid.n_nodes
+    matrix = np.empty((n, n))
+    step = max(1, (1 << 16) // n)  # rows per block: 512 kB of int64 indices
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        # every index is in range; mode="raise" would buffer the output block
+        np.take(full, pos[None, :] + (center - pos[rows])[:, None], out=matrix[rows], mode="clip")
     return FractionalOperator(grid, s, matrix, singular_correction)
-
-
-def _add_singular_correction(matrix: np.ndarray, grid: Grid, s: float, c: float) -> None:
-    moments = _second_moments(grid.dim, grid.h, s)
-    index = {tuple(k): i for i, k in enumerate(grid.lattice)}
-    for axis, moment in enumerate(moments):
-        coeff = 0.5 * c * moment / grid.h[axis] ** 2
-        for i, k in enumerate(grid.lattice):
-            matrix[i, i] += 2.0 * coeff
-            for step in (-1, 1):
-                kk = list(k)
-                kk[axis] += step
-                j = index.get(tuple(kk))
-                if j is not None:
-                    matrix[i, j] -= coeff
-                # neighbours outside the domain hold the value 0; their
-                # term is simply absent
-

@@ -298,7 +298,8 @@ class _NewtonHandoff:
     A trial from (u, recover_v(u)) works on copies of the caller's state.
     It is accepted only if it converges, passes the collapse test against
     `floor` and passes `_accept_or_raise`; each trial is a "newton_handoff"
-    trace entry whose outcome is "accepted" or the reason for rejection.
+    trace entry with its outcome ("accepted" or the reason for rejection)
+    and its Newton and GMRES iteration counts ("newton_iters", "krylov").
     """
 
     def __init__(self, op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig,
@@ -324,7 +325,8 @@ class _NewtonHandoff:
                 outcome = str(exc)
         self.trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
                            "stationarity": float(np.max(np.abs(defect))),
-                           "outcome": outcome})
+                           "outcome": outcome, "newton_iters": trial.iterations,
+                           "krylov": sum(e["krylov"] for e in trial.trace)})
         return trial if outcome == "accepted" else None
 
 

@@ -1,8 +1,11 @@
 """Operator layer: normalization constants, assembly structure, consistency
 against closed-form solutions, and the Green-function probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 import oracles
 from fraclane import (
@@ -105,6 +108,42 @@ def test_anisotropic_rectangle_assembly():
     _structure_ok(assemble(grid, 0.6))
 
 
+@pytest.mark.parametrize("domain, resolution", [
+    (Domain.interval(-1.0, 1.0), 256),
+    (Domain.interval(-1.0, 1.0), 512),
+    (Domain.rectangle(2.0, 1.0), 32),
+    (Domain.disk(1.0), 40),
+    (Domain.disk(1.0), 64),
+    (Domain.disk(0.7, center=(0.3, -0.2)), 24),
+])
+def test_assembly_matches_the_offset_array_oracle_bitwise(domain, resolution):
+    grid = build_grid(domain, resolution)
+    for s in (0.25, 0.5, 0.9):
+        for correction in (False, True):
+            ref = oracles.assembled_matrix(grid, s, singular_correction=correction)
+            got = assemble(grid, s, singular_correction=correction).matrix
+            assert np.array_equal(got, ref), (s, correction)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (s, correction)
+
+
+@pytest.mark.parametrize("domain, resolution, bound", [
+    (Domain.disk(1.0), 40, 1.5),
+    (Domain.interval(-1.0, 1.0), 512, 2.0),
+])
+def test_assembly_allocates_no_square_temporary(domain, resolution, bound):
+    # the matrix itself is N^2 doubles; offset arrays, a gathered table or a
+    # scaled copy of it would each add about as much again
+    grid = build_grid(domain, resolution)
+    tracemalloc.start()
+    try:
+        op = assemble(grid, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = op.n_nodes
+    assert peak < bound * n * n * 8
+
+
 def test_self_adjointness_in_weighted_inner_product(op64, grid64):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid64.n_nodes)
@@ -204,6 +243,17 @@ def test_solve_residual_is_tiny(op128, grid128):
     f = rng.uniform(0.0, 1.0, grid128.n_nodes)
     w = op128.solve(f)
     assert np.max(np.abs(op128.apply(w) - f)) <= 1e-10 * op128.scale
+
+
+@pytest.mark.parametrize("domain, resolution", [
+    (Domain.interval(-1.0, 1.0), 256),
+    (Domain.disk(1.0), 40),
+])
+def test_solve_equals_cho_solve_bitwise(domain, resolution):
+    op = assemble(build_grid(domain, resolution), 0.5)
+    f = np.random.default_rng(7).uniform(-1.0, 1.0, op.n_nodes)
+    ref = cho_solve(op.factor(), f, check_finite=False)
+    assert op.solve(f).tobytes() == ref.tobytes()
 
 
 def test_nonnegative_data_gives_positive_solution(op64, grid64):

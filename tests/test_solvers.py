@@ -497,6 +497,20 @@ def test_rejected_handoff_trial_leaves_the_path_untouched(setup64, monkeypatch):
     assert [e for e in tried.trace if e["stage"] != "newton_handoff"] == untried.trace
 
 
+def test_handoff_trace_keeps_the_work_of_a_rejected_trial():
+    # On the disk the trial after 5 sweeps takes 4 Newton steps and is then
+    # rejected; its counts must still reach the trace.
+    op = assemble(build_grid(Domain.disk(1.0), 40), 0.5)
+    pair = mountain_pass(op, ExponentPair(2.0, 2.0))
+    rejected, accepted = _handoffs(pair)
+    assert (rejected["iter"], rejected["outcome"]) == (5, "no contraction at iteration 4")
+    assert rejected["newton_iters"] == 4 and rejected["krylov"] > 0
+    newton = [e for e in pair.trace if e["stage"] == "newton"]  # the accepted trial's
+    assert accepted["outcome"] == "accepted"
+    assert accepted["newton_iters"] == len(newton) - 1
+    assert accepted["krylov"] == sum(e["krylov"] for e in newton)
+
+
 def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
     # s = 1/4 in 1D: (3, 3) is critical and (4, 4) supercritical.  There the
     # mountain pass is a diagnostic: every attempt runs its whole budget.
