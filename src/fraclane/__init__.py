@@ -49,7 +49,6 @@ from .operator import (
     assemble,
     ball_torsion_constant,
     normalization_constant,
-    normalization_constant_quadrature,
 )
 from .solvers import (
     SolutionPair,
@@ -74,7 +73,7 @@ __all__ = [
     "smoothed_density", "smoothed_power",
     "ConfigurationError", "FraclaneError", "NonconvergenceError", "ResonantProblemError",
     "FractionalOperator", "assemble", "ball_torsion_constant",
-    "normalization_constant", "normalization_constant_quadrature",
+    "normalization_constant",
     "SolutionPair", "SolverConfig", "initial_guess", "minimize_sublinear",
     "mountain_pass", "newton_polish", "recover_v", "solve_system",
 ]

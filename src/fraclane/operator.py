@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, get_lapack_funcs
-from scipy.special import gamma
+from scipy.special import beta, betainc, gamma
 
 from .domains import Grid
 from .errors import ConfigurationError
 
 __all__ = [
     "normalization_constant",
-    "normalization_constant_quadrature",
     "ball_torsion_constant",
     "FractionalOperator",
     "assemble",
@@ -50,52 +48,14 @@ def normalization_constant(n: int, s: float) -> float:
     """Kernel normalization C(n,s) = 2^(2s) s Gamma((n+2s)/2) / (pi^(n/2) Gamma(1-s)).
 
     This is the closed form of the reciprocal of the integral
-    int_{R^n} (1 - cos(z_1)) / |z|^(n+2s) dz; see
-    normalization_constant_quadrature for the direct evaluation of that
-    integral, against which this closed form is tested.
+    int_{R^n} (1 - cos(z_1)) / |z|^(n+2s) dz.  The test oracles
+    (tests/oracles.py) evaluate that integral directly by adaptive
+    quadrature, and the tests compare this closed form against it.
     """
     s = _check_order(s)
     if n not in (1, 2):
         raise ConfigurationError(f"dimension must be 1 or 2, got {n}")
     return 2.0 ** (2 * s) * s * gamma((n + 2 * s) / 2.0) / (np.pi ** (n / 2.0) * gamma(1 - s))
-
-
-def normalization_constant_quadrature(n: int, s: float) -> float:
-    """C(n,s) by adaptive quadrature of the defining integral.
-
-    The 1D integral of (1 - cos z)/|z|^(1+2s) is split at |z| = 1: the near
-    part is handled by the algebraic-endpoint-weight rule (the integrand is
-    z^(1-2s) times a smooth factor), the constant part of the far field is
-    exact, and the oscillatory remainder uses the cosine-weighted adaptive
-    rule.  The 2D integral reduces exactly to the 1D one after integrating
-    the kernel across the second coordinate, which contributes the factor
-    int (1+t^2)^(-1-s) dt, itself computed adaptively.
-    """
-    s = _check_order(s)
-    if n not in (1, 2):
-        raise ConfigurationError(f"dimension must be 1 or 2, got {n}")
-
-    def smooth_factor(z):
-        # (1 - cos z)/z^2 with the cancellation-prone region replaced by its
-        # Taylor polynomial (relative error below 1e-14 at the crossover)
-        z = np.asarray(z, dtype=float)
-        small = np.abs(z) < 1e-3
-        zs = np.where(small, 1.0, z)
-        series = 0.5 - z * z / 24.0 + z ** 4 / 720.0
-        return np.where(small, series, (1.0 - np.cos(zs)) / (zs * zs))
-
-    near, _ = quad(smooth_factor, 0.0, 1.0, weight="alg", wvar=(1.0 - 2 * s, 0.0),
-                   epsabs=1e-13, epsrel=1e-12)
-    # integrate the oscillatory tail by parts once so the sine-weighted rule
-    # sees an integrand decaying like z^(-2-2s) instead of z^(-1-2s)
-    tail, _ = quad(lambda z: z ** (-2.0 - 2 * s), 1.0, np.inf, weight="sin", wvar=1.0,
-                   epsabs=1e-13, epsrel=1e-12, limit=400)
-    osc = -np.sin(1.0) + (1.0 + 2 * s) * tail
-    integral_1d = 2.0 * (near + 1.0 / (2.0 * s) - osc)
-    if n == 1:
-        return 1.0 / integral_1d
-    cross, _ = quad(lambda t: (1.0 + t * t) ** (-1.0 - s), -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
-    return 1.0 / (cross * integral_1d)
 
 
 def ball_torsion_constant(n: int, s: float) -> float:
@@ -143,22 +103,17 @@ def _beta_table_2d(k: int, h1: float, h2: float, s: float) -> np.ndarray:
 
 def _ktotal_2d(h1: float, h2: float, s: float) -> float:
     """Total kernel mass over the complement of the central cell, by the
-    exact polar integral (the radial formula sigma_1/(2s) * (h/2)^(-2s)
-    would miss the corner regions of the cell complement)."""
+    polar integral in closed form (the radial formula sigma_1/(2s) * (h/2)^(-2s)
+    would miss the corner regions of the cell complement).
 
-    def cell_radius(th):
-        c, sn = abs(np.cos(th)), abs(np.sin(th))
-        rx = h1 / (2 * c) if c > 1e-300 else np.inf
-        ry = h2 / (2 * sn) if sn > 1e-300 else np.inf
-        return min(rx, ry)
-
-    def f(th):
-        return cell_radius(th) ** (-2 * s) / (2 * s)
-
-    corner = np.arctan2(h2, h1)
-    a, _ = quad(f, 0.0, corner, limit=200, epsabs=1e-13, epsrel=1e-12)
-    b, _ = quad(f, corner, np.pi / 2, limit=200, epsabs=1e-13, epsrel=1e-12)
-    return 4.0 * (a + b)
+    Below the corner angle phi = atan(h2/h1) the cell boundary is at radius
+    h1/(2 cos t), above it at h2/(2 sin t), and
+    int_0^phi cos^(2s) t dt = B(1/2, s+1/2) I_{sin^2 phi}(1/2, s+1/2) / 2.
+    """
+    d2 = h1 * h1 + h2 * h2
+    a, b = 0.5, s + 0.5
+    return beta(a, b) / s * ((2.0 / h1) ** (2 * s) * betainc(a, b, h2 * h2 / d2)
+                             + (2.0 / h2) ** (2 * s) * betainc(a, b, h1 * h1 / d2))
 
 
 def _second_moments(dim: int, h: tuple, s: float) -> tuple:
@@ -182,12 +137,11 @@ def _second_moments(dim: int, h: tuple, s: float) -> tuple:
 class FractionalOperator:
     """Assembled dense operator on a grid's interior nodes."""
 
-    def __init__(self, grid: Grid, s: float, matrix: np.ndarray, singular_correction: bool):
+    def __init__(self, grid: Grid, s: float, matrix: np.ndarray):
         self.grid = grid
         self.s = s
         self.n = grid.dim
         self.matrix = matrix
-        self.singular_correction = singular_correction
         self._factor = None
 
     @property
@@ -262,4 +216,4 @@ def assemble(grid: Grid, s: float, singular_correction: bool = False) -> Fractio
         rows = slice(start, start + step)
         # every index is in range; mode="raise" would buffer the output block
         np.take(full, pos[None, :] + (center - pos[rows])[:, None], out=matrix[rows], mode="clip")
-    return FractionalOperator(grid, s, matrix, singular_correction)
+    return FractionalOperator(grid, s, matrix)

@@ -46,6 +46,41 @@ def normalization_reference(n: int, s: float) -> float:
                  / (np.pi ** (n / 2.0) * gamma(1.0 - s)))
 
 
+def normalization_constant_quadrature(n: int, s: float) -> float:
+    """C(n,s) by adaptive quadrature of the defining integral
+    1 / int_{R^n} (1 - cos z_1) / |z|^(n+2s) dz.
+
+    The 1D integral of (1 - cos z)/|z|^(1+2s) is split at |z| = 1: the near
+    part is handled by the algebraic-endpoint-weight rule (the integrand is
+    z^(1-2s) times a smooth factor), the constant part of the far field is
+    exact, and the oscillatory remainder uses the cosine-weighted adaptive
+    rule.  The 2D integral reduces exactly to the 1D one after integrating
+    the kernel across the second coordinate, which contributes the factor
+    int (1+t^2)^(-1-s) dt, itself computed adaptively.
+    """
+    def smooth_factor(z):
+        # (1 - cos z)/z^2 with the cancellation-prone region replaced by its
+        # Taylor polynomial (relative error below 1e-14 at the crossover)
+        z = np.asarray(z, dtype=float)
+        small = np.abs(z) < 1e-3
+        zs = np.where(small, 1.0, z)
+        series = 0.5 - z * z / 24.0 + z ** 4 / 720.0
+        return np.where(small, series, (1.0 - np.cos(zs)) / (zs * zs))
+
+    near, _ = quad(smooth_factor, 0.0, 1.0, weight="alg", wvar=(1.0 - 2 * s, 0.0),
+                   epsabs=1e-13, epsrel=1e-12)
+    # integrate the oscillatory tail by parts once so the sine-weighted rule
+    # sees an integrand decaying like z^(-2-2s) instead of z^(-1-2s)
+    tail, _ = quad(lambda z: z ** (-2.0 - 2 * s), 1.0, np.inf, weight="sin", wvar=1.0,
+                   epsabs=1e-13, epsrel=1e-12, limit=400)
+    osc = -np.sin(1.0) + (1.0 + 2 * s) * tail
+    integral_1d = 2.0 * (near + 1.0 / (2.0 * s) - osc)
+    if n == 1:
+        return 1.0 / integral_1d
+    cross, _ = quad(lambda t: (1.0 + t * t) ** (-1.0 - s), -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
+    return 1.0 / (cross * integral_1d)
+
+
 def torsion_constant_reference(n: int, s: float) -> float:
     """Closed form 2^(2s) Gamma(1+s) Gamma((n+2s)/2) / Gamma(n/2)."""
     return float(2.0 ** (2 * s) * gamma(1.0 + s) * gamma((n + 2 * s) / 2.0)
@@ -115,6 +150,41 @@ def beta_table_2d_by_cell(kx: int, ky: int, h1: float, h2: float, s: float) -> n
             wts = (0.5 * h1 * gw)[:, None] * (0.5 * h2 * gw)[None, :]
             table[k1, k2] = float(np.sum(wts * r2 ** (-1.0 - s)))
     return table
+
+
+def _central_cell_radius(theta: float, h1: float, h2: float) -> float:
+    """Distance from the cell center to the boundary of the h1 x h2 cell
+    along the direction theta."""
+    c, sn = abs(np.cos(theta)), abs(np.sin(theta))
+    rx = h1 / (2 * c) if c > 1e-300 else np.inf
+    ry = h2 / (2 * sn) if sn > 1e-300 else np.inf
+    return min(rx, ry)
+
+
+def ktotal_2d_by_quad(h1: float, h2: float, s: float) -> float:
+    """Kernel mass of |y|^(-2-2s) outside the central h1 x h2 cell by
+    adaptive quadrature of the polar integral 4 int_0^(pi/2) R(t)^(-2s)/(2s) dt,
+    split at the cell's corner angle."""
+    def f(th):
+        return _central_cell_radius(th, h1, h2) ** (-2 * s) / (2 * s)
+
+    corner = np.arctan2(h2, h1)
+    a, _ = quad(f, 0.0, corner, limit=200, epsabs=1e-13, epsrel=1e-12)
+    b, _ = quad(f, corner, np.pi / 2, limit=200, epsabs=1e-13, epsrel=1e-12)
+    return 4.0 * (a + b)
+
+
+def ktotal_2d_by_gauss(h1: float, h2: float, s: float) -> float:
+    """The same polar integral by a 120-point Gauss-Legendre rule on each
+    side of the corner angle, where the integrand is smooth."""
+    gx, gw = leggauss(120)
+    corner = np.arctan2(h2, h1)
+    total = 0.0
+    for lo, hi in ((0.0, corner), (corner, np.pi / 2)):
+        th = 0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
+        radius = np.array([_central_cell_radius(t, h1, h2) for t in th])
+        total += 0.5 * (hi - lo) * float(np.sum(gw * radius ** (-2 * s))) / (2 * s)
+    return 4.0 * total
 
 
 def add_singular_correction_by_node(matrix: np.ndarray, grid, s: float, c: float) -> None:

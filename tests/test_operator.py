@@ -1,12 +1,17 @@
 """Operator layer: normalization constants, assembly structure, consistency
 against closed-form solutions, and the Green-function probe."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+import fraclane
 import oracles
 from fraclane import (
     ConfigurationError,
@@ -15,8 +20,8 @@ from fraclane import (
     ball_torsion_constant,
     build_grid,
     normalization_constant,
-    normalization_constant_quadrature,
 )
+from fraclane.operator import _ktotal_2d
 
 # ---------------------------------------------------------------------------
 # normalization constant
@@ -33,7 +38,7 @@ def test_normalization_quadrature_route_agrees_with_closed_form():
     for n in (1, 2):
         for s in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
             closed = normalization_constant(n, s)
-            direct = normalization_constant_quadrature(n, s)
+            direct = oracles.normalization_constant_quadrature(n, s)
             assert direct == pytest.approx(closed, rel=1e-11), (n, s)
 
 
@@ -106,6 +111,29 @@ def test_anisotropic_rectangle_assembly():
     grid = build_grid(Domain.rectangle(3.0, 1.0), 12)
     assert grid.h[0] != grid.h[1]
     _structure_ok(assemble(grid, 0.6))
+
+
+@pytest.mark.parametrize("aspect", [1.0, 3.3, 20.0])
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.5, 0.75, 0.99])
+def test_central_cell_mass_matches_quadrature(s, aspect):
+    # both orientations of the cell, at a typical grid spacing
+    for h1, h2 in ((0.05, 0.05 * aspect), (0.05 * aspect, 0.05)):
+        closed = _ktotal_2d(h1, h2, s)
+        assert closed == pytest.approx(oracles.ktotal_2d_by_quad(h1, h2, s), rel=1e-12)
+        assert closed == pytest.approx(oracles.ktotal_2d_by_gauss(h1, h2, s), rel=1e-14)
+
+
+def test_import_and_planar_assembly_load_no_adaptive_quadrature():
+    # a fresh interpreter: this one has scipy.integrate loaded by the oracles
+    src = Path(fraclane.__file__).resolve().parents[1]
+    code = ("import sys, fraclane, fraclane.cli\n"
+            "fraclane.assemble(fraclane.build_grid(fraclane.Domain.disk(1.0), 8), 0.5)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("domain, resolution", [

@@ -121,7 +121,7 @@ def test_newton_polish_reports_exactly_singular_schur_complement(setup64):
     # A = 4 I factors exactly (A^{-1} = I / 4), so at u = v = 2 with p = q = 2
     # the Schur complement A - D_u A^{-1} D_v = 4 I - 4 I / 4 * 4 is exactly 0.
     grid, op = setup64
-    fake = FractionalOperator(grid, op.s, 4.0 * np.eye(op.n_nodes), False)
+    fake = FractionalOperator(grid, op.s, 4.0 * np.eye(op.n_nodes))
     two = np.full(op.n_nodes, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
