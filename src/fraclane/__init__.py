@@ -27,7 +27,7 @@ from .analysis import (
     rellich_residual,
     uniqueness_gap,
 )
-from .domains import BoundaryTrace, Domain, Grid, boundary_trace, build_grid
+from .domains import BoundaryTrace, Domain, Grid, boundary_trace, build_grid, interpolate
 from .energy import (
     EnergyReport,
     ExponentPair,
@@ -67,7 +67,7 @@ __all__ = [
     "boundary_exponent_fit", "boundary_quotient",
     "maximum_principle_audit", "operator_invariants", "rellich_residual",
     "uniqueness_gap",
-    "BoundaryTrace", "Domain", "Grid", "boundary_trace", "build_grid",
+    "BoundaryTrace", "Domain", "Grid", "boundary_trace", "build_grid", "interpolate",
     "EnergyReport", "ExponentPair", "energy", "energy_gradient", "energy_value",
     "euler_lagrange_residual",
     "smoothed_density", "smoothed_power",

@@ -14,13 +14,12 @@ resolution, which restores convergence under refinement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma
 
-from .domains import BoundaryTrace, Grid, boundary_trace
+from .domains import BoundaryTrace, Grid, boundary_trace, interpolate
 from .energy import ExponentPair
 from .errors import ConfigurationError
 from .operator import FractionalOperator
@@ -59,33 +58,14 @@ def _ray_samples(grid: Grid, u: np.ndarray, k_lo: int, k_hi: int) -> tuple:
     every boundary trace point, k = k_lo..k_hi.  Returns (trace, d, values)
     with d of shape (K,) and values of shape (B, K).
 
-    Each value is the multilinear interpolation of u extended by zero to the
-    bounding-box lattice; where a ray runs along a lattice line (1D,
-    rectangle sides) it reproduces the node values up to rounding.  The
-    corners are summed with axis 0 varying fastest, each weight the product
-    of its per-axis factors, so every value is bitwise that of a
-    point-by-point evaluation.
+    Each value is the multilinear interpolation of u extended by zero
+    (`domains.interpolate`); where a ray runs along a lattice line (1D,
+    rectangle sides) it reproduces the node values up to rounding.
     """
     tr = boundary_trace(grid)
-    res = grid.resolution
-    full = np.zeros((res + 2,) * grid.dim)  # the box lattice inside one layer of zeros
-    full[tuple(grid.lattice.T + 1)] = u
     dist = (np.arange(k_lo, k_hi + 1) - 0.5) * min(grid.h)
     pts = tr.points[:, None, :] - dist[None, :, None] * tr.normals[:, None, :]
-    index, frac = [], []
-    for axis, (lo, _) in enumerate(grid.domain.bounding_box):
-        t = (pts[..., axis] - lo) / grid.h[axis] - 0.5
-        index.append(np.floor(t).astype(int))
-        frac.append(t - index[-1])
-    values = 0.0
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        corner = corner[::-1]  # axis 0 varies fastest
-        weight = 1.0
-        for f, c in zip(frac, corner):
-            weight = weight * (f if c else 1 - f)
-        node = full[tuple(np.clip(i + c + 1, 0, res + 1) for i, c in zip(index, corner))]
-        values = values + weight * node
-    return tr, dist, values
+    return tr, dist, interpolate(grid, u, pts)
 
 
 def _fit_rays(grid: Grid, u: np.ndarray, window: tuple, fit) -> BoundaryFit:

@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -358,23 +357,17 @@ def cmd_phase_diagram(args) -> int:
             raise ConfigurationError("phase-diagram needs --pairs or both --p-list and --q-list")
         points = [(p, q) for p in _numbers(args.p_list, "--p-list item")
                   for q in _numbers(args.q_list, "--q-list item")]
-    outdir = cfg_base.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out")
-    # the points differ only in p and q, so they share one operator, built
-    # by the first point that needs it; the lock makes that safe for --jobs > 1
-    lock, shared = threading.Lock(), []
-
-    def operator(cfg):
-        with lock:
-            if not shared:
-                shared.append(_operator(cfg))
-            return shared[0]
+    # the points differ only in p and q: the shared settings are validated,
+    # and the one operator they share is built, before the first point, so
+    # a sweep-wide configuration error exits 4 as it does for `solve`
+    base = _validated({key: value for key, value in cfg_base.items() if key not in ("p", "q")})
+    op = _operator(base)
 
     def run_point(index_point):
         index, (p, q) = index_point
-        cfg = dict(cfg_base, p=p, q=q, outdir=outdir)
+        cfg = dict(base, p=p, q=q)
         try:
-            cfg = _validated(cfg)
-            record, _, _ = _run_solve(cfg, operator)
+            record, _, _ = _run_solve(cfg, lambda _: op)
         except ResonantProblemError as exc:
             record = _record(cfg, f"resonant-skipped: {exc}", "resonant")
         except ConfigurationError as exc:
@@ -390,8 +383,8 @@ def cmd_phase_diagram(args) -> int:
             results = list(pool.map(run_point, indexed))
     results.sort(key=lambda item: item[0])
     records = [record for _, record in results]
-    _write_record(records, outdir, "phase_diagram")
-    csv_path = os.path.join(outdir, "phase_diagram.csv")
+    _write_record(records, base["outdir"], "phase_diagram")
+    csv_path = os.path.join(base["outdir"], "phase_diagram.csv")
     with open(csv_path, "w") as fh:
         fh.write("p,q,regime,converged,method,energy_value,residual_u,residual_v,"
                  "rellich_rhs_factor,verdict\n")

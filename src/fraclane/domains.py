@@ -11,6 +11,7 @@ from the lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +240,37 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
     d = domain.boundary_distance(x)
     weights = np.full(x.shape[0], float(np.prod(h)))
     return Grid(domain, resolution, h, axes, lattice, x, d, weights)
+
+
+def interpolate(grid: Grid, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation, at `points` of shape (..., dim), of the grid
+    function u extended by zero to the bounding-box lattice and to one layer
+    of lattice nodes around it; the result has shape points.shape[:-1].
+
+    A point whose surrounding lattice nodes all lie in the domain gets the
+    value of a function linear in each axis up to rounding, and a point more
+    than half a cell outside the box gets 0 (the zero layer lies half a cell
+    outside).  The corners are summed with axis 0 varying fastest, each
+    weight the product of its per-axis factors, so every value is bitwise
+    that of a point-by-point evaluation.
+    """
+    res = grid.resolution
+    full = np.zeros((res + 2,) * grid.dim)  # the box lattice inside one layer of zeros
+    full[tuple(grid.lattice.T + 1)] = u
+    index, frac = [], []
+    for axis, (lo, _) in enumerate(grid.domain.bounding_box):
+        t = (points[..., axis] - lo) / grid.h[axis] - 0.5
+        index.append(np.floor(t).astype(int))
+        frac.append(t - index[-1])
+    values = 0.0
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        corner = corner[::-1]  # axis 0 varies fastest
+        weight = 1.0
+        for f, c in zip(frac, corner):
+            weight = weight * (f if c else 1 - f)
+        node = full[tuple(np.clip(i + c + 1, 0, res + 1) for i, c in zip(index, corner))]
+        values = values + weight * node
+    return values
 
 
 @dataclass(frozen=True)

@@ -135,13 +135,17 @@ def _second_moments(dim: int, h: tuple, s: float) -> tuple:
 
 
 class FractionalOperator:
-    """Assembled dense operator on a grid's interior nodes."""
+    """Assembled dense operator on a grid's interior nodes.  `singular_correction`
+    records how `assemble` built the matrix, so an operator on another grid
+    can be assembled the same way."""
 
-    def __init__(self, grid: Grid, s: float, matrix: np.ndarray):
+    def __init__(self, grid: Grid, s: float, matrix: np.ndarray,
+                 singular_correction: bool = False):
         self.grid = grid
         self.s = s
         self.n = grid.dim
         self.matrix = matrix
+        self.singular_correction = singular_correction
         self._factor = None
 
     @property
@@ -216,4 +220,4 @@ def assemble(grid: Grid, s: float, singular_correction: bool = False) -> Fractio
         rows = slice(start, start + step)
         # every index is in range; mode="raise" would buffer the output block
         np.take(full, pos[None, :] + (center - pos[rows])[:, None], out=matrix[rows], mode="clip")
-    return FractionalOperator(grid, s, matrix)
+    return FractionalOperator(grid, s, matrix, singular_correction)

@@ -14,6 +14,10 @@ Three layers:
   its step solved by GMRES, used as the finishing stage by both pipelines
   and usable on its own.
 
+solve_system picks the pipeline by regime; in the superlinear subcritical
+regime it first solves on the grid of half the resolution and starts
+Newton from that solution, interpolated (see `_coarse_to_fine`).
+
 Positivity is never enforced by projection; it must emerge from the
 discrete maximum principle and is then asserted on the accepted pair.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .domains import Grid
+from .domains import Grid, build_grid, interpolate
 from .energy import (
     EnergyReport,
     ExponentPair,
@@ -37,7 +41,7 @@ from .energy import (
     smoothed_power,
 )
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
-from .operator import FractionalOperator
+from .operator import FractionalOperator, assemble
 
 __all__ = [
     "SOLVERS",
@@ -62,6 +66,7 @@ MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
 MAX_RESTARTS = 3         # mountain-pass collapse restarts
 KRYLOV_MAX_ITER = 60     # GMRES budget of one Newton step
 KRYLOV_RTOL = 1e-12      # GMRES tolerance, relative to the step's right-hand side
+COARSE_FLOOR = 16        # coarsest resolution of a coarse-to-fine solve
 
 
 @dataclass(frozen=True)
@@ -292,6 +297,19 @@ def _collapsed(pair: SolutionPair, floor: float) -> bool:
             or pair.min_u <= 0.0 or pair.min_v <= 0.0)
 
 
+def _trial_outcome(trial: SolutionPair, floor: float, cfg: SolverConfig) -> str:
+    """"accepted" if a monotone Newton trial converged, passes the collapse
+    test against `floor` and passes `_accept_or_raise`; else the reason it
+    is rejected."""
+    if _collapsed(trial, floor):
+        return trial.message or "collapsed to a vanishing or non-positive state"
+    try:
+        _accept_or_raise(trial, cfg)
+    except NonconvergenceError as exc:
+        return str(exc)
+    return "accepted"
+
+
 class _NewtonHandoff:
     """Monotone Newton trials after 5, 10, 20, 40, ... steps of a solver loop.
 
@@ -315,14 +333,7 @@ class _NewtonHandoff:
         self.checkpoint *= 2
         trial = newton_polish(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
                               self.cfg, _monotone=True)
-        outcome = "accepted"
-        if _collapsed(trial, self.floor):
-            outcome = trial.message or "collapsed to a vanishing or non-positive state"
-        else:
-            try:
-                _accept_or_raise(trial, self.cfg)
-            except NonconvergenceError as exc:
-                outcome = str(exc)
+        outcome = _trial_outcome(trial, self.floor, self.cfg)
         self.trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
                            "stationarity": float(np.max(np.abs(defect))),
                            "outcome": outcome, "newton_iters": trial.iterations,
@@ -555,6 +566,35 @@ def _accept_or_raise(pair: SolutionPair, cfg: SolverConfig) -> None:
         )
 
 
+def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig) -> tuple:
+    """(result or None, "coarse_to_fine" trace entry) of one coarse-to-fine level.
+
+    A recursive `solve_system` call solves the problem on the grid of half
+    the resolution, with the operator assembled as `op` was; the coarse u
+    and v, interpolated to op's nodes, start a monotone Newton run.  By
+    Newton's mesh independence that start lies in the fine grid's quadratic
+    basin.  The run is accepted under the rule of the Newton handoff, with
+    a collapse floor of 1e-6 of the start's sup-norm; the result is None
+    when it is rejected or the coarse level fails.
+    """
+    grid = op.grid
+    entry = {"stage": "coarse_to_fine", "resolution": grid.resolution,
+             "n_nodes": grid.n_nodes, "outcome": "", "newton_iters": 0, "krylov": 0}
+    try:
+        coarse_grid = build_grid(grid.domain, grid.resolution // 2)
+        coarse = solve_system(assemble(coarse_grid, op.s, op.singular_correction), exps, cfg)
+    except (NonconvergenceError, ConfigurationError) as exc:
+        entry["outcome"] = f"coarse level failed: {exc}"
+        return None, entry
+    u0, v0 = (interpolate(coarse_grid, w, grid.x) for w in (coarse.u, coarse.v))
+    trial = newton_polish(op, u0, v0, exps, cfg, _monotone=True)
+    entry.update(outcome=_trial_outcome(trial, 1e-6 * float(np.max(np.abs(u0))), cfg),
+                 newton_iters=trial.iterations, krylov=sum(e["krylov"] for e in trial.trace))
+    if entry["outcome"] != "accepted":
+        return None, entry
+    return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations, cfg), entry
+
+
 def solve_system(op: FractionalOperator, exps: ExponentPair,
                  cfg: SolverConfig = SolverConfig(), solver: str = "auto") -> SolutionPair:
     """Dispatch to the right pipeline.
@@ -564,6 +604,12 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     supercritical regimes (where no positive solution exists on star-shaped
     domains) the mountain pass runs as a diagnostic and its nonconvergence
     is the expected, reported outcome.
+
+    In the superlinear subcritical regime, when half the resolution is at
+    least COARSE_FLOOR, 'auto' first tries `_coarse_to_fine`, and falls back
+    to the mountain pass on op's grid when that level is rejected.  Each
+    level adds a "coarse_to_fine" trace entry; nothing is cached between
+    calls.  The named solvers always run on op's grid alone.
     """
     if solver not in SOLVERS:
         raise ConfigurationError(f"unknown solver {solver!r}")
@@ -576,4 +622,10 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
         _require_not_resonant(exps)
     if regime == "sublinear":
         return minimize_sublinear(op, exps, cfg)
+    if regime == "superlinear_subcritical" and op.grid.resolution // 2 >= COARSE_FLOOR:
+        warm, entry = _coarse_to_fine(op, exps, cfg)
+        if warm is not None:
+            return warm
+        fallback = mountain_pass(op, exps, cfg)
+        return replace(fallback, trace=[entry] + fallback.trace)
     return mountain_pass(op, exps, cfg, allow_any_superlinear=True)

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import fraclane.cli
+import fraclane.operator
+from fraclane import Domain, build_grid
 from fraclane.cli import RECORD_FIELDS, main
+from fraclane.errors import NonconvergenceError
 
 pytestmark = pytest.mark.usefixtures("isolated_outdir")
 
@@ -139,6 +142,22 @@ def test_resonant_input_exits_3(tmp_path, capsys):
     assert "resonant" in capsys.readouterr().err
 
 
+def test_solve_factors_the_fine_operator_first(tmp_path, monkeypatch):
+    """The benchmark's set-up window ends at the first factorization, so the
+    coarse-to-fine levels must factor their operators after the fine one."""
+    sizes = []
+    cho_factor = fraclane.operator.cho_factor
+
+    def recording_cho_factor(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return cho_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fraclane.operator, "cho_factor", recording_cho_factor)
+    assert run("solve", "--domain-kind", "disk", "--radius", 1, "--resolution", 32,
+               "--p", 2, "--q", 2, "--s", 0.5, "--outdir", tmp_path / "disk") == 0
+    assert sizes == [build_grid(Domain.disk(1.0), res).n_nodes for res in (32, 16)]
+
+
 def test_configuration_errors_exit_4(tmp_path, capsys):
     cfg = tmp_path / "bad_n.json"
     cfg.write_text(json.dumps({"n": 3, "p": 2, "q": 2}))
@@ -183,15 +202,11 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         assert run("solve", "--config", cfg) == 4, bad
         if "p" in bad:
             continue  # phase-diagram sets p itself
-        # a sweep keeps going and records the error on every point
+        # a setting every point shares fails the sweep before its first point
         out = tmp_path / f"sweep{index}"
         assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5,2:2",
-                   "--outdir", out) == 0
-        records = json.loads((out / "phase_diagram.json").read_text())
-        assert len(records) == 2
-        for record in records:
-            assert set(record) == set(RECORD_FIELDS)
-            assert record["verdict"].startswith("configuration error"), bad
+                   "--outdir", out) == 4, bad
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -318,15 +333,17 @@ def test_phase_diagram_sweep(tmp_path):
 
 
 
-def test_phase_diagram_csv_quotes_embedded_quotes(tmp_path):
-    cfg = tmp_path / "quote.json"
-    cfg.write_text(json.dumps({"domain": {"kind": "it's"}}))
+def test_phase_diagram_csv_quotes_embedded_quotes(tmp_path, monkeypatch):
+    def failing_solve(*args):
+        raise NonconvergenceError('stopped at "it\'s"')
+
+    monkeypatch.setattr(fraclane.cli, "solve_system", failing_solve)
     out = tmp_path / "quote"
-    assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5", "--outdir", out) == 0
+    assert run("phase-diagram", "--pairs", "0.5:0.5", "--resolution", 16, "--outdir", out) == 0
     with open(out / "phase_diagram.csv", newline="") as fh:
         header, row = list(csv.reader(fh))
     assert len(row) == len(header)
-    assert row[-1] == "configuration error: unknown domain kind \"it's\""
+    assert row[-1] == "nonconvergence: stopped at \"it's\""
 
 def _without_run_details(record):
     record = dict(record, input=dict(record["input"]))
@@ -359,12 +376,18 @@ def test_phase_diagram_assembles_one_operator(tmp_path, monkeypatch):
         assert ([_without_run_details(r) for r in swept]
                 == [_without_run_details(r) for r in singles])
 
-    # a failed build caches nothing: every point reports its own error
-    out = tmp_path / "bad"
-    assert run("phase-diagram", "--pairs", "0.5:0.5,2:2", "--resolution", 4,
-               "--outdir", out) == 0
-    for record in json.loads((out / "phase_diagram.json").read_text()):
-        assert record["verdict"].startswith("configuration error: resolution")
+
+def test_phase_diagram_exits_4_on_a_sweep_wide_configuration_error(tmp_path, capsys):
+    """A failed build or an invalid shared setting stops the sweep before its
+    first point, as `solve` stops; an empty sweep still succeeds."""
+    for bad in (["--resolution", 4], ["--resolution", 32, "--s", 1.5],
+                ["--domain-kind", "interval", "--resolution", 32]):
+        out = tmp_path / "bad"
+        assert run("phase-diagram", "--pairs", "0.5:0.5,2:2", *bad, "--outdir", out) == 4, bad
+        assert not out.exists()
+        assert run("solve", "--p", 2, "--q", 2, *bad, "--outdir", out) == 4, bad
+    assert "resolution must be an integer" in capsys.readouterr().err
+    assert run("phase-diagram", "--pairs", "", "--outdir", tmp_path / "empty") == 0
 
 
 def test_phase_diagram_empty_sweep(tmp_path):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from fraclane import (
     ConfigurationError,
     Domain,
     boundary_trace,
     build_grid,
+    interpolate,
 )
 
 
@@ -177,3 +179,47 @@ def test_offcenter_trace_x_dot_nu_sign():
     assert grid.domain.is_star_shaped_wrt_origin()
     assert np.all(tr.x_dot_nu > 0)
 
+
+# ---------------------------------------------------------------------------
+# interpolation of grid functions
+
+
+def test_interpolation_reproduces_functions_linear_in_each_axis():
+    grid = build_grid(Domain.rectangle(2.0, 1.0, center=(0.3, -0.2)), 20)
+    (x0, x1), (y0, y1) = grid.domain.bounding_box
+    hx, hy = grid.h
+
+    def f(pts):
+        return 0.7 - 1.3 * pts[..., 0] + 0.4 * pts[..., 1] + 0.9 * pts[..., 0] * pts[..., 1]
+
+    rng = np.random.default_rng(5)
+    # one cell or more inside the boundary every surrounding node is a grid node
+    inner = np.stack([rng.uniform(x0 + hx, x1 - hx, 400), rng.uniform(y0 + hy, y1 - hy, 400)],
+                     axis=1)
+    for pts in (inner, grid.x[grid.d >= min(grid.h)], inner.reshape(20, 20, 2)):
+        assert np.max(np.abs(interpolate(grid, f(grid.x), pts) - f(pts))) <= 1e-14
+    # more than half a cell outside the box only the zero layer is in reach
+    outside = np.array([[x0 - 0.6 * hx, 0.0], [x1 + 0.6 * hx, 0.1], [0.3, y0 - 0.6 * hy],
+                        [0.3, y1 + 3.0], [x0 - 7.0, y1 + 7.0], [x1 + 0.6 * hx, y0 - 0.6 * hy]])
+    assert not np.any(interpolate(grid, np.ones(grid.n_nodes), outside))
+
+
+@pytest.mark.parametrize("domain, res", [
+    (Domain.interval(-1.0, 1.0), 256),
+    (Domain.rectangle(2.0, 1.0), 17),
+    (Domain.disk(1.0), 33),
+    (Domain.disk(1.0, center=(0.3, -0.2)), 24),
+])
+def test_interpolation_matches_the_point_by_point_ray_sampler_bitwise(domain, res):
+    """The grids and profile of the boundary-fit oracle test, sampled along
+    the quotient fit's rays one ray at a time by the oracle."""
+    grid = build_grid(domain, res)
+    tr = boundary_trace(grid)
+    u = grid.d ** 0.5 * (1.0 + 0.3 * grid.x[:, 0])
+    full = oracles._box_values(grid, u)
+    dist = (np.arange(2, max(12, round(1.2 * np.sqrt(res))) + 1) - 0.5) * min(grid.h)
+    for point, normal in zip(tr.points, tr.normals):
+        pts = point[None, :] - dist[:, None] * normal[None, :]
+        ref = (oracles._interp1(grid, full, pts[:, 0]) if grid.dim == 1
+               else oracles._interp2(grid, full, pts))
+        assert interpolate(grid, u, pts).tobytes() == ref.tobytes()

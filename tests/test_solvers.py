@@ -535,6 +535,122 @@ def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# coarse-to-fine levels of the superlinear subcritical regime
+
+
+def _levels(pair):
+    return [e for e in pair.trace if e["stage"] == "coarse_to_fine"]
+
+
+@pytest.mark.parametrize("domain, resolution, s, warm", [
+    (Domain.interval(-1.0, 1.0), 128, 0.25, [32, 64, 128]),  # 16 is the floor
+    (Domain.disk(1.0), 32, 0.5, [32]),
+])
+def test_coarse_to_fine_matches_the_single_level_mountain_pass(domain, resolution, s, warm):
+    op = assemble(build_grid(domain, resolution), s)
+    exps = ExponentPair(2.0, 2.0)
+    pair = solve_system(op, exps)
+    plain = mountain_pass(op, exps)
+    assert pair.accepted and pair.method == "mountain_pass"
+    assert np.max(np.abs(pair.u - plain.u)) <= 1e-10
+    assert np.max(np.abs(pair.v - plain.v)) <= 1e-10
+    levels = _levels(pair)
+    assert [e["resolution"] for e in levels] == warm
+    assert [e["n_nodes"] for e in levels] == [build_grid(domain, r).n_nodes for r in warm]
+    assert all(e["outcome"] == "accepted" for e in levels)
+    assert all(0 < e["newton_iters"] <= 5 and e["krylov"] > 0 for e in levels)
+    newton = pair.trace[pair.trace.index(levels[-1]) + 1:]  # the fine level's run
+    assert [e["stage"] for e in newton] == ["newton"] * (levels[-1]["newton_iters"] + 1)
+    assert levels[-1]["krylov"] == sum(e["krylov"] for e in newton)
+
+
+def _same_pair(a, b) -> bool:
+    return (a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+            and (a.residual_u, a.residual_v, a.energy, a.method, a.iterations)
+            == (b.residual_u, b.residual_v, b.energy, b.method, b.iterations))
+
+
+def test_rejected_coarse_to_fine_falls_back_to_the_plain_mountain_pass(monkeypatch):
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 128), 0.25)
+    exps = ExponentPair(2.0, 2.0)
+    plain = mountain_pass(op, exps)
+    # a vanishing start fails the trial's positivity test at once
+    monkeypatch.setattr(fraclane.solvers, "interpolate",
+                        lambda grid, u, points: np.zeros(len(points)))
+    pair = solve_system(op, exps)
+    assert _same_pair(pair, plain)
+    assert pair.trace == [{"stage": "coarse_to_fine", "resolution": 128, "n_nodes": 128,
+                           "outcome": "lost positivity at iteration 0",
+                           "newton_iters": 0, "krylov": 0}] + plain.trace
+
+    # a coarse level that fails is a rejection too
+    monkeypatch.undo()
+    single_level = fraclane.solvers.mountain_pass
+
+    def failing_below(op, *args, **kwargs):
+        if op.grid.resolution < 128:
+            raise NonconvergenceError("coarse failure")
+        return single_level(op, *args, **kwargs)
+
+    monkeypatch.setattr(fraclane.solvers, "mountain_pass", failing_below)
+    pair = solve_system(op, exps)
+    assert _same_pair(pair, plain)
+    assert pair.trace[0]["outcome"] == "coarse level failed: coarse failure"
+    assert pair.trace[1:] == plain.trace
+
+
+def _recorded(monkeypatch, name):
+    calls = []
+    original = getattr(fraclane.solvers, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(fraclane.solvers, name, recording)
+    return calls
+
+
+def test_diagnostic_regimes_build_no_coarse_level(monkeypatch):
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.25)
+    grids = _recorded(monkeypatch, "build_grid")
+    for exps in (ExponentPair(3.0, 3.0), ExponentPair(4.0, 4.0)):
+        try:
+            trace = solve_system(op, exps, SolverConfig(mp_sweeps=40)).trace
+        except NonconvergenceError as exc:
+            trace = exc.trace
+        assert not any(e["stage"] == "coarse_to_fine" for e in trace)
+    assert grids == []
+
+
+def test_every_solve_builds_its_own_coarse_levels(monkeypatch):
+    """Nothing is cached between calls, so a second start is independent."""
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.25)
+    operators = _recorded(monkeypatch, "assemble")
+    first = solve_system(op, ExponentPair(2.0, 2.0))
+    built = len(operators)
+    second = solve_system(op, ExponentPair(2.0, 2.0), SolverConfig(init="random"))
+    assert built == 2 and len(operators) == 2 * built  # levels 32 and 16, twice
+    assert {id(o) for o in operators[:built]}.isdisjoint(id(o) for o in operators[built:])
+    assert _same_pair(first, second)
+
+
+def test_coarse_levels_are_assembled_like_the_fine_operator(monkeypatch):
+    domain = Domain.interval(-1.0, 1.0)
+    op = assemble(build_grid(domain, 64), 0.25, singular_correction=True)
+    assert op.singular_correction
+    operators = _recorded(monkeypatch, "assemble")
+    solve_system(op, ExponentPair(2.0, 2.0))
+    monkeypatch.undo()
+    assert [o.grid.resolution for o in operators] == [32, 16]
+    for coarse in operators:
+        grid = build_grid(domain, coarse.grid.resolution)
+        assert coarse.matrix.tobytes() == assemble(grid, 0.25, True).matrix.tobytes()
+        assert coarse.matrix.tobytes() != assemble(grid, 0.25).matrix.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # dispatch and determinism
 
 
