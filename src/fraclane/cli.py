@@ -7,7 +7,8 @@ Subcommands:
   audit          maximum-principle audit + operator structure checks
 
 Configuration is a JSON file (--config) whose keys match the long option
-names; explicit command-line flags override file values.  Every record is
+names; explicit command-line flags override file values, and a key that no
+option names is a configuration error.  Every record is
 self-describing: re-running `solve` from a record's input echo reproduces
 the numerics bitwise.
 
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,7 @@ from .domains import Domain, build_grid
 from .energy import ExponentPair
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
 from .operator import assemble
-from .solvers import SOLVERS, SolverConfig, solve_system
+from .solvers import SolverConfig, solve_system
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -50,7 +50,7 @@ EXIT_CONFIG = 4
 
 INITS = ("zero", "bump", "random")
 # config keys a command-line flag of the same name overrides
-_FLAG_KEYS = ("resolution", "s", "p", "q", "solver", "seed", "init", "second_init", "outdir",
+_FLAG_KEYS = ("resolution", "s", "p", "q", "seed", "init", "second_init", "outdir",
               "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
 _DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
 
@@ -132,7 +132,6 @@ def _validated(cfg: dict) -> dict:
         "s": _cast(float, cfg.get("s", 0.5), "s"),
         "p": _cast(float, cfg["p"], "p") if "p" in cfg else None,
         "q": _cast(float, cfg["q"], "q") if "q" in cfg else None,
-        "solver": cfg.get("solver", "auto"),
         "seed": _cast(int, cfg.get("seed", 0), "seed"),
         "init": cfg.get("init", "bump"),
         "second_init": cfg.get("second_init"),
@@ -145,12 +144,13 @@ def _validated(cfg: dict) -> dict:
     if not 0 < out["residual_tol"] < float("inf"):
         raise ConfigurationError(f"residual_tol must be positive and finite, "
                                  f"got {out['residual_tol']}")
-    if out["solver"] not in SOLVERS:
-        raise ConfigurationError(f"unknown solver {out['solver']!r}")
     if out["init"] not in INITS:
         raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
     if out["second_init"] is not None and out["second_init"] not in INITS:
         raise ConfigurationError(f"unknown second_init {out['second_init']!r}")
+    unknown = sorted(set(cfg) - set(out) - {"n"})
+    if unknown:
+        raise ConfigurationError(f"unknown config keys {', '.join(map(repr, unknown))}")
     return out
 
 
@@ -253,7 +253,7 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
     op = operator(cfg)
     grid = op.grid
     try:
-        pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]), cfg["solver"])
+        pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]))
     except NonconvergenceError as exc:
         factor = float(exps.rhs_factor(grid.dim, cfg["s"]))
         verdict = f"nonconvergence: {exc}"
@@ -268,9 +268,9 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
         return _record(cfg, verdict, regime, grid, t0=t0), None, grid
     rel = rellich_residual(pair, exps, grid, cfg["s"])
     gap = None
-    if cfg["second_init"]:
+    if cfg["second_init"] and regime == "sublinear":  # superlinear runs start from the bump
         try:
-            pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]), cfg["solver"])
+            pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]))
         except NonconvergenceError as exc:
             # the first pair's record stands; only the uniqueness gap is missing
             verdict = f"nonconvergence: second start {cfg['second_init']!r} failed: {exc}"
@@ -362,9 +362,8 @@ def cmd_phase_diagram(args) -> int:
     # a sweep-wide configuration error exits 4 as it does for `solve`
     base = _validated({key: value for key, value in cfg_base.items() if key not in ("p", "q")})
     op = _operator(base)
-
-    def run_point(index_point):
-        index, (p, q) = index_point
+    records = []
+    for p, q in points:
         cfg = dict(base, p=p, q=q)
         try:
             record, _, _ = _run_solve(cfg, lambda _: op)
@@ -372,17 +371,7 @@ def cmd_phase_diagram(args) -> int:
             record = _record(cfg, f"resonant-skipped: {exc}", "resonant")
         except ConfigurationError as exc:
             record = _record(cfg, f"configuration error: {exc}")
-        return index, record
-
-    jobs = max(1, args.jobs)
-    indexed = list(enumerate(points))
-    if jobs == 1:
-        results = [run_point(item) for item in indexed]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, indexed))
-    results.sort(key=lambda item: item[0])
-    records = [record for _, record in results]
+        records.append(record)
     _write_record(records, base["outdir"], "phase_diagram")
     csv_path = os.path.join(base["outdir"], "phase_diagram.csv")
     with open(csv_path, "w") as fh:
@@ -449,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(sol)
     sol.add_argument("--p", type=float)
     sol.add_argument("--q", type=float)
-    sol.add_argument("--solver", choices=SOLVERS)
-    sol.add_argument("--init", choices=INITS)
+    sol.add_argument("--init", choices=INITS, help="sublinear regime: start of the descent")
     sol.add_argument("--second-init", dest="second_init", choices=INITS,
-                     help="run a second solve from this start and report the gap")
+                     help="sublinear regime: run a second solve from this start "
+                          "and report the gap")
     sol.add_argument("--max-iter", dest="max_iter", type=int)
     sol.add_argument("--mp-sweeps", dest="mp_sweeps", type=int)
     sol.add_argument("--residual-tol", dest="residual_tol", type=float)
@@ -470,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     pha.add_argument("--pairs", help="comma-separated p:q list, e.g. 0.5:0.5,3:3")
     pha.add_argument("--p-list", dest="p_list", help="comma-separated p values (cartesian with --q-list)")
     pha.add_argument("--q-list", dest="q_list", help="comma-separated q values")
-    pha.add_argument("--jobs", type=int, default=1, help="concurrent sweep points")
+    # accepted and ignored, since the points run one after another:
+    # perfbench/workloads.py still passes --jobs 1
+    pha.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     pha.set_defaults(func=cmd_phase_diagram)
 
     aud = subs.add_parser("audit", help="maximum principle audit + operator structure checks")

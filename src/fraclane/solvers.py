@@ -44,7 +44,6 @@ from .errors import ConfigurationError, NonconvergenceError, ResonantProblemErro
 from .operator import FractionalOperator, assemble
 
 __all__ = [
-    "SOLVERS",
     "SolverConfig",
     "SolutionPair",
     "initial_guess",
@@ -55,8 +54,6 @@ __all__ = [
     "solve_system",
 ]
 
-
-SOLVERS = ("auto", "sublinear", "mountain_pass")
 
 GRADIENT_TOL = 1e-10     # descent stationarity target, relative to operator scale
 ARMIJO = 1e-4            # sufficient-decrease constant
@@ -78,8 +75,7 @@ class SolverConfig:
     residual_tol: float = 1e-8           # equation-residual acceptance threshold
     smoothing_schedule: tuple = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
     seed: int = 0
-    init: str = "bump"                   # zero | bump | random | supplied
-    init_values: object = None           # used when init == "supplied"
+    init: str = "bump"                   # zero | bump | random
     mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
     newton_max_iter: int = 150
     newton_step_cap: float = 0.5         # cap as a fraction of the current sup-norm
@@ -107,12 +103,15 @@ class SolutionPair:
         return self.converged and self.min_u > 0.0 and self.min_v > 0.0
 
 
-def _require_not_resonant(exps: ExponentPair) -> None:
-    if exps.pq == 1:
+def _regime(op: FractionalOperator, exps: ExponentPair) -> str:
+    """The regime of `exps` on op's dimension and order; resonant exponents raise."""
+    regime = exps.regime(op.n, op.s)
+    if regime == "resonant":
         raise ResonantProblemError(
             "p*q = 1: the coupled power system is an eigenvalue problem with no "
             "isolated positive solution; choose exponents with p*q != 1"
         )
+    return regime
 
 
 def initial_guess(grid: Grid, cfg: SolverConfig) -> np.ndarray:
@@ -133,15 +132,6 @@ def initial_guess(grid: Grid, cfg: SolverConfig) -> np.ndarray:
     if cfg.init == "random":
         rng = np.random.default_rng(cfg.seed)
         return rng.uniform(0.1, 1.0, grid.n_nodes)
-    if cfg.init == "supplied":
-        if cfg.init_values is None:
-            raise ConfigurationError("init='supplied' requires init_values")
-        vals = np.asarray(cfg.init_values, dtype=float)
-        if vals.shape != (grid.n_nodes,):
-            raise ConfigurationError(
-                f"supplied initial guess has shape {vals.shape}, expected ({grid.n_nodes},)"
-            )
-        return vals.copy()
     raise ConfigurationError(f"unknown initial guess kind {cfg.init!r}")
 
 
@@ -251,7 +241,7 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     that is not strictly positive or whose residual is not below the
     previous one.
     """
-    _require_not_resonant(exps)
+    _regime(op, exps)
     p, q = exps.pf, exps.qf
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
@@ -364,8 +354,7 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     descent resume where it was.  `max_iter` is therefore a ceiling: when
     it runs out, the final polish is the plain capped Newton iteration.
     """
-    _require_not_resonant(exps)
-    if exps.pq > 1:
+    if _regime(op, exps) != "sublinear":
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
     p, q = exps.pf, exps.qf
     w = op.grid.weights
@@ -475,10 +464,9 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     admitted as a diagnostic (expected outcome there: nonconvergence); they
     make no trials, so an early Newton convergence cannot pose as a solution.
     """
-    _require_not_resonant(exps)
-    if exps.pq < 1:
+    regime = _regime(op, exps)
+    if regime == "sublinear":
         raise ConfigurationError("mountain_pass requires p*q > 1; use minimize_sublinear")
-    regime = exps.regime(op.n, op.s)
     if regime != "superlinear_subcritical" and not allow_any_superlinear:
         raise ConfigurationError(
             f"regime is {regime}; pass allow_any_superlinear=True to run the "
@@ -596,30 +584,20 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
 
 
 def solve_system(op: FractionalOperator, exps: ExponentPair,
-                 cfg: SolverConfig = SolverConfig(), solver: str = "auto") -> SolutionPair:
-    """Dispatch to the right pipeline.
-
-    'auto' uses the regime: sublinear -> minimization, superlinear
+                 cfg: SolverConfig = SolverConfig()) -> SolutionPair:
+    """Run the pipeline of the regime: sublinear -> minimization, superlinear
     subcritical -> mountain pass, resonant -> rejected.  In the critical and
     supercritical regimes (where no positive solution exists on star-shaped
     domains) the mountain pass runs as a diagnostic and its nonconvergence
     is the expected, reported outcome.
 
     In the superlinear subcritical regime, when half the resolution is at
-    least COARSE_FLOOR, 'auto' first tries `_coarse_to_fine`, and falls back
-    to the mountain pass on op's grid when that level is rejected.  Each
-    level adds a "coarse_to_fine" trace entry; nothing is cached between
-    calls.  The named solvers always run on op's grid alone.
+    least COARSE_FLOOR, `_coarse_to_fine` runs first, and the mountain pass
+    on op's grid is the fallback when that level is rejected.  Each level
+    adds a "coarse_to_fine" trace entry; nothing is cached between calls.
+    Superlinear runs start from the bump whatever `cfg.init` says.
     """
-    if solver not in SOLVERS:
-        raise ConfigurationError(f"unknown solver {solver!r}")
-    if solver == "sublinear":
-        return minimize_sublinear(op, exps, cfg)
-    if solver == "mountain_pass":
-        return mountain_pass(op, exps, cfg, allow_any_superlinear=True)
-    regime = exps.regime(op.n, op.s)
-    if regime == "resonant":
-        _require_not_resonant(exps)
+    regime = _regime(op, exps)
     if regime == "sublinear":
         return minimize_sublinear(op, exps, cfg)
     if regime == "superlinear_subcritical" and op.grid.resolution // 2 >= COARSE_FLOOR:

@@ -97,8 +97,8 @@ def test_criterion_05_sublinear_existence_and_uniqueness():
     grid = build_grid(Domain.interval(-1.0, 1.0), 256)
     op = assemble(grid, 0.5)
     exps = ExponentPair(0.5, 0.5)
-    pair = solve_system(op, exps, SolverConfig(init="bump"), "auto")
-    other = solve_system(op, exps, SolverConfig(init="random", seed=7), "auto")
+    pair = solve_system(op, exps, SolverConfig(init="bump"))
+    other = solve_system(op, exps, SolverConfig(init="random", seed=7))
     u_ref, _ = oracles.fixed_point_solution(op, 0.5, 0.5)
     init_gap = float(np.max(np.abs(pair.u - other.u)) / np.max(np.abs(pair.u)))
     oracle_gap = float(np.max(np.abs(pair.u - u_ref)) / np.max(np.abs(u_ref)))
@@ -121,7 +121,7 @@ def test_criterion_06_superlinear_mountain_pass_existence():
     t0 = time.perf_counter()
     grid = build_grid(Domain.interval(-1.0, 1.0), 256)
     op = assemble(grid, 0.5)
-    pair = solve_system(op, ExponentPair(3.0, 3.0), SolverConfig(), "auto")
+    pair = solve_system(op, ExponentPair(3.0, 3.0), SolverConfig())
     scalar_ref = oracles.scalar_branch(op, 3.0)
     symmetry_gap = float(np.max(np.abs(pair.u - pair.v)) / np.max(np.abs(pair.u)))
     scalar_gap = float(np.max(np.abs(pair.u - scalar_ref)) / np.max(np.abs(scalar_ref)))
@@ -145,7 +145,7 @@ def test_criterion_07_integral_identity_residual_shrinks(superlinear_pair_256, g
     coarse = rellich_residual(superlinear_pair_256, exps, grid256, 0.5)
     fine_grid = build_grid(Domain.interval(-1.0, 1.0), 1024)
     fine_op = assemble(fine_grid, 0.5)
-    fine_pair = solve_system(fine_op, exps, SolverConfig(), "auto")
+    fine_pair = solve_system(fine_op, exps, SolverConfig())
     fine = rellich_residual(fine_pair, exps, fine_grid, 0.5)
     ratio = coarse.residual / fine.residual
     ok = (coarse.residual <= 0.10
@@ -201,8 +201,8 @@ def test_criterion_09_boundary_decay_exponent_tracks_order():
     fits = {}
     for s in (0.3, 0.5, 0.7):
         op = assemble(grid, s)
-        low = solve_system(op, ExponentPair(0.5, 0.5), SolverConfig(), "auto")
-        high = solve_system(op, ExponentPair(3.0, 3.0), SolverConfig(), "auto")
+        low = solve_system(op, ExponentPair(0.5, 0.5), SolverConfig())
+        high = solve_system(op, ExponentPair(3.0, 3.0), SolverConfig())
         for label, pair in (("min", low), ("mp", high)):
             for component, u in (("u", pair.u), ("v", pair.v)):
                 fits[(s, label, component)] = boundary_exponent_fit(
@@ -240,8 +240,9 @@ def test_criterion_10_smoothed_gradient_matches_finite_differences(op64, grid64)
 
 def test_criterion_11_identical_config_reproduces_record_bitwise():
     digests = []
-    for cfg_seed in ({"p": 0.5, "q": 0.5, "init": "random", "seed": 3},
-                     {"p": 3.0, "q": 3.0, "solver": "mountain_pass"}):
+    for cfg_seed, method in (({"p": 0.5, "q": 0.5, "init": "random", "seed": 3},
+                              "minimize_sublinear"),
+                             ({"p": 3.0, "q": 3.0}, "mountain_pass")):
         base = {"resolution": 64, "s": 0.5, "outdir": "unused"}
         base.update(cfg_seed)
         runs = []
@@ -249,7 +250,7 @@ def test_criterion_11_identical_config_reproduces_record_bitwise():
             record, _, _ = _run_solve(_validated(dict(base)))
             record.pop("wall_time_s")
             runs.append(json.dumps(record, sort_keys=True))
-        digests.append(runs[0] == runs[1])
+        digests.append(runs[0] == runs[1] and record["method"] == method)
     ok = all(digests)
     record_criterion(11, ok, "two in-process runs from one config: full result record "
                              f"bitwise identical (excluding wall time) for sublinear and "

@@ -58,19 +58,9 @@ def test_initial_guess_kinds(setup64):
     assert not np.array_equal(r1, r3)
     assert np.all((r1 >= 0.1) & (r1 < 1.0))
 
-    vals = np.linspace(0.1, 0.9, grid.n_nodes)
-    sup = initial_guess(grid, SolverConfig(init="supplied", init_values=vals))
-    assert np.array_equal(sup, vals)
-    sup[0] = 99.0
-    assert vals[0] != 99.0  # the guess is a copy
-
 
 def test_initial_guess_errors(setup64):
     grid, _ = setup64
-    with pytest.raises(ConfigurationError):
-        initial_guess(grid, SolverConfig(init="supplied"))
-    with pytest.raises(ConfigurationError):
-        initial_guess(grid, SolverConfig(init="supplied", init_values=np.ones(3)))
     with pytest.raises(ConfigurationError):
         initial_guess(grid, SolverConfig(init="nope"))
 
@@ -521,7 +511,7 @@ def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
         assert exps.regime(1, 0.25) == regime
         calls = _count_calls(op, monkeypatch)
         try:
-            trace = solve_system(op, exps, cfg, solver="mountain_pass").trace
+            trace = solve_system(op, exps, cfg).trace
             attempts = 1 + sum(e["iter"] == -1 for e in trace)
         except NonconvergenceError as exc:
             trace = exc.trace
@@ -662,18 +652,11 @@ def test_solve_system_dispatch(setup64):
     assert sup.method == "mountain_pass"
     with pytest.raises(ResonantProblemError):
         solve_system(op, ExponentPair(1.0, 1.0))
+    # the pipelines reject the other regime's exponents
     with pytest.raises(ConfigurationError):
-        solve_system(op, ExponentPair(0.5, 0.5), solver="mountain_pass")
+        minimize_sublinear(op, ExponentPair(3.0, 3.0))
     with pytest.raises(ConfigurationError):
-        solve_system(op, ExponentPair(2.0, 2.0), solver="nope")
-
-
-def test_forced_solver_choice(setup64):
-    _, op = setup64
-    forced = solve_system(op, ExponentPair(0.5, 0.5), solver="sublinear")
-    assert forced.method == "minimize_sublinear"
-    forced2 = solve_system(op, ExponentPair(4.0, 4.0), solver="mountain_pass")
-    assert forced2.method == "mountain_pass"
+        mountain_pass(op, ExponentPair(0.5, 0.5))
 
 
 def test_solver_runs_are_bitwise_deterministic(setup64):
