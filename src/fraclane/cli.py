@@ -111,7 +111,9 @@ def _load_config(args) -> dict:
 
 
 def _validated(cfg: dict) -> dict:
-    """Fill defaults, check types, and normalize the input echo."""
+    """Fill defaults (the solver's from `SolverConfig`), check types, and
+    normalize the input echo."""
+    defaults = SolverConfig()
     n = _cast(int, cfg.get("n", 1), "n")
     if "domain" not in cfg:
         if n == 1:
@@ -132,18 +134,21 @@ def _validated(cfg: dict) -> dict:
         "s": _cast(float, cfg.get("s", 0.5), "s"),
         "p": _cast(float, cfg["p"], "p") if "p" in cfg else None,
         "q": _cast(float, cfg["q"], "q") if "q" in cfg else None,
-        "seed": _cast(int, cfg.get("seed", 0), "seed"),
-        "init": cfg.get("init", "bump"),
+        "seed": _cast(int, cfg.get("seed", defaults.seed), "seed"),
+        "init": cfg.get("init", defaults.init),
         "second_init": cfg.get("second_init"),
         "singular_correction": bool(cfg.get("singular_correction", False)),
-        "max_iter": _cast(int, cfg.get("max_iter", 2000), "max_iter"),
-        "mp_sweeps": _cast(int, cfg.get("mp_sweeps", 300), "mp_sweeps"),
-        "residual_tol": _cast(float, cfg.get("residual_tol", 1e-8), "residual_tol"),
+        "max_iter": _cast(int, cfg.get("max_iter", defaults.max_iter), "max_iter"),
+        "mp_sweeps": _cast(int, cfg.get("mp_sweeps", defaults.mp_sweeps), "mp_sweeps"),
+        "residual_tol": _cast(float, cfg.get("residual_tol", defaults.residual_tol),
+                              "residual_tol"),
         "outdir": cfg.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out"),
     }
     if not 0 < out["residual_tol"] < float("inf"):
         raise ConfigurationError(f"residual_tol must be positive and finite, "
                                  f"got {out['residual_tol']}")
+    if out["seed"] < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {out['seed']}")
     if out["init"] not in INITS:
         raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
     if out["second_init"] is not None and out["second_init"] not in INITS:
@@ -250,6 +255,8 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
         raise ResonantProblemError(
             "p*q = 1 is resonant (eigenvalue problem); rejected before solving"
         )
+    if regime != "sublinear":  # superlinear runs start from the bump alone; echo that
+        cfg = dict(cfg, init="bump", second_init=None)
     op = operator(cfg)
     grid = op.grid
     try:
@@ -268,7 +275,7 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
         return _record(cfg, verdict, regime, grid, t0=t0), None, grid
     rel = rellich_residual(pair, exps, grid, cfg["s"])
     gap = None
-    if cfg["second_init"] and regime == "sublinear":  # superlinear runs start from the bump
+    if cfg["second_init"]:
         try:
             pair2 = solve_system(op, exps, _solver_config(cfg, cfg["second_init"]))
         except NonconvergenceError as exc:
@@ -396,6 +403,8 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _validated(_load_config(args))
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     op = _operator(cfg)
     struct = operator_invariants(op)
     audit = maximum_principle_audit(op, trials=args.trials, seed=cfg["seed"])

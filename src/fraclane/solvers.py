@@ -6,10 +6,10 @@ Three layers:
   smoothing continuation, for pq < 1 where the energy is bounded below and
   the positive solution is the global minimizer; handed to Newton as soon
   as a trial Newton run contracts through positive iterates.
-* mountain_pass — for pq > 1 (subcritical), where 0 is a local minimum and
-  the solution is a saddle: deform a discretized path from 0 to a
-  low-energy state until its maximal node is in Newton's basin, tested by
-  the same trial Newton runs.
+* mountain_pass — for pq > 1, where 0 is a local minimum and a subcritical
+  solution is a saddle: deform a discretized path from 0 to a low-energy
+  state until its maximal node is in Newton's basin, tested by the same
+  trial Newton runs (none in the critical and supercritical regimes).
 * newton_polish — undamped Newton with a step cap on the coupled system,
   its step solved by GMRES, used as the finishing stage by both pipelines
   and usable on its own.
@@ -63,6 +63,8 @@ MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
 MAX_RESTARTS = 3         # mountain-pass collapse restarts
 KRYLOV_MAX_ITER = 60     # GMRES budget of one Newton step
 KRYLOV_RTOL = 1e-12      # GMRES tolerance, relative to the step's right-hand side
+NEWTON_MAX_ITER = 150    # Newton steps of one polish
+NEWTON_STEP_CAP = 0.5    # Newton step cap as a fraction of the current sup-norm
 COARSE_FLOOR = 16        # coarsest resolution of a coarse-to-fine solve
 
 
@@ -77,8 +79,6 @@ class SolverConfig:
     seed: int = 0
     init: str = "bump"                   # zero | bump | random
     mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
-    newton_max_iter: int = 150
-    newton_step_cap: float = 0.5         # cap as a fraction of the current sup-norm
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,6 @@ def initial_guess(grid: Grid, cfg: SolverConfig) -> np.ndarray:
 def recover_v(op: FractionalOperator, u: np.ndarray, q: float) -> np.ndarray:
     """Partner function: the linear solve A v = (u_+)^q."""
     return op.solve(np.maximum(u, 0.0) ** float(q))
-
-
-def residuals(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
-              exps: ExponentPair) -> tuple:
-    ru = float(np.max(np.abs(op.apply(u) - np.maximum(v, 0.0) ** exps.pf)))
-    rv = float(np.max(np.abs(op.apply(v) - np.maximum(u, 0.0) ** exps.qf)))
-    return ru, rv
-
-
-def _pair(op, u, v, exps, converged, method, iterations, trace, message="") -> SolutionPair:
-    ru, rv = residuals(op, u, v, exps)
-    rep = energy(op, u, exps, smoothing=0.0)
-    return SolutionPair(u, v, ru, rv, rep, float(np.min(u)), float(np.min(v)),
-                        converged, method, iterations, trace, message)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,10 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     damped by a residual-decrease rule: near the saddle points of this
     system the Jacobian is indefinite and residual-monotone damping stalls,
     while capped full steps retain quadratic convergence once inside the
-    basin.  Stops at a rounding-floor tolerance well below residual_tol.
+    basin.  Stops at a rounding-floor tolerance well below residual_tol or
+    after NEWTON_MAX_ITER steps.  Each iterate costs two matvecs, A u and
+    A v, which also give the floor and the returned residuals and energy;
+    an empty message means the pair converged.
 
     `_monotone` turns the iteration into the contraction test of the
     solvers' Newton handoff: it stops, unconverged, at the first iterate
@@ -245,40 +234,44 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     p, q = exps.pf, exps.qf
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(op.apply(u)))),
-                        float(np.max(np.abs(op.apply(v)))))
-    tol = min(max(cfg.residual_tol * 1e-3, floor), cfg.residual_tol)
     trace = []
     res = np.inf
-    for it in range(cfg.newton_max_iter):
-        up, vp = np.maximum(u, 0.0), np.maximum(v, 0.0)
-        f_u, f_v = op.apply(u) - vp**p, op.apply(v) - up**q
-        res, previous = max(float(np.max(np.abs(f_u))), float(np.max(np.abs(f_v)))), res
+    for it in range(NEWTON_MAX_ITER + 1):
+        au, av = op.apply(u), op.apply(v)
+        f_u, f_v = au - np.maximum(v, 0.0) ** p, av - np.maximum(u, 0.0) ** q
+        ru, rv = float(np.max(np.abs(f_u))), float(np.max(np.abs(f_v)))
+        res, previous = max(ru, rv), res
+        if it == 0:
+            floor = 1e-11 * max(1.0, float(np.max(np.abs(au))), float(np.max(np.abs(av))))
+            tol = min(max(cfg.residual_tol * 1e-3, floor), cfg.residual_tol)
+        if it == NEWTON_MAX_ITER:  # the last step's result is evaluated, not tested
+            message = f"Newton budget exhausted at residual {previous:.3e}"
+            break
         entry = {"stage": "newton", "iter": it, "residual": res, "krylov": 0}
         trace.append(entry)
+        message = ""
         if _monotone and not (np.min(u) > 0.0 and np.min(v) > 0.0):
-            return _pair(op, u, v, exps, False, "newton_polish", it, trace,
-                         message=f"lost positivity at iteration {it}")
-        if _monotone and not res < previous:
-            return _pair(op, u, v, exps, False, "newton_polish", it, trace,
-                         message=f"no contraction at iteration {it}")
-        if res <= tol:
-            return _pair(op, u, v, exps, True, "newton_polish", it, trace)
+            message = f"lost positivity at iteration {it}"
+        elif _monotone and not res < previous:
+            message = f"no contraction at iteration {it}"
+        if message or res <= tol:
+            break
         du, dv = _power_derivative(u, q), _power_derivative(v, p)
         ainv_fu = op.solve(f_u)
         step_v, entry["krylov"] = _gmres(lambda x: x - op.solve(du * op.solve(dv * x)),
                                          op.solve(-f_v - du * ainv_fu))
         if step_v is None:
-            return _pair(op, u, v, exps, False, "newton_polish", it, trace,
-                         message=f"singular Jacobian at iteration {it}")
+            message = f"singular Jacobian at iteration {it}"
+            break
         step_u = op.solve(dv * step_v) - ainv_fu
-        cap = cfg.newton_step_cap * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
+        cap = NEWTON_STEP_CAP * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
         step_sup = max(float(np.max(np.abs(step_u))), float(np.max(np.abs(step_v))))
         scale = min(1.0, cap / max(step_sup, 1e-300))
         u += scale * step_u
         v += scale * step_v
-    return _pair(op, u, v, exps, False, "newton_polish", cfg.newton_max_iter, trace,
-                 message=f"Newton budget exhausted at residual {res:.3e}")
+    return SolutionPair(u, v, ru, rv, energy(op, u, exps, smoothing=0.0, au=au),
+                        float(np.min(u)), float(np.min(v)), not message, "newton_polish",
+                        it, trace, message)
 
 
 def _collapsed(pair: SolutionPair, floor: float) -> bool:
@@ -287,27 +280,32 @@ def _collapsed(pair: SolutionPair, floor: float) -> bool:
             or pair.min_u <= 0.0 or pair.min_v <= 0.0)
 
 
-def _trial_outcome(trial: SolutionPair, floor: float, cfg: SolverConfig) -> str:
-    """"accepted" if a monotone Newton trial converged, passes the collapse
-    test against `floor` and passes `_accept_or_raise`; else the reason it
-    is rejected."""
-    if _collapsed(trial, floor):
-        return trial.message or "collapsed to a vanishing or non-positive state"
-    try:
-        _accept_or_raise(trial, cfg)
-    except NonconvergenceError as exc:
-        return str(exc)
-    return "accepted"
+def _newton_trial(op: FractionalOperator, u: np.ndarray, v: np.ndarray, exps: ExponentPair,
+                  cfg: SolverConfig, floor: float, entry: dict) -> SolutionPair | None:
+    """A monotone Newton run from (u, v) if it converges, passes the collapse
+    test against `floor` and passes `_accept_or_raise`, else None.  The
+    trace `entry` gets its "outcome" ("accepted" or the reason for
+    rejection) and its Newton and GMRES iteration counts ("newton_iters",
+    "krylov")."""
+    trial = newton_polish(op, u, v, exps, cfg, _monotone=True)
+    outcome = trial.message or "collapsed to a vanishing or non-positive state"
+    if not _collapsed(trial, floor):
+        try:
+            _accept_or_raise(trial, cfg)
+            outcome = "accepted"
+        except NonconvergenceError as exc:
+            outcome = str(exc)
+    entry.update(outcome=outcome, newton_iters=trial.iterations,
+                 krylov=sum(e["krylov"] for e in trial.trace))
+    return trial if outcome == "accepted" else None
 
 
 class _NewtonHandoff:
     """Monotone Newton trials after 5, 10, 20, 40, ... steps of a solver loop.
 
-    A trial from (u, recover_v(u)) works on copies of the caller's state.
-    It is accepted only if it converges, passes the collapse test against
-    `floor` and passes `_accept_or_raise`; each trial is a "newton_handoff"
-    trace entry with its outcome ("accepted" or the reason for rejection)
-    and its Newton and GMRES iteration counts ("newton_iters", "krylov").
+    A trial from (u, recover_v(u)) works on copies of the caller's state
+    and is judged by `_newton_trial` against `floor`; each trial is a
+    "newton_handoff" trace entry.
     """
 
     def __init__(self, op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig,
@@ -321,14 +319,11 @@ class _NewtonHandoff:
         if steps != self.checkpoint:
             return None
         self.checkpoint *= 2
-        trial = newton_polish(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
-                              self.cfg, _monotone=True)
-        outcome = _trial_outcome(trial, self.floor, self.cfg)
-        self.trace.append({"stage": "newton_handoff", "iter": steps, "energy": phi,
-                           "stationarity": float(np.max(np.abs(defect))),
-                           "outcome": outcome, "newton_iters": trial.iterations,
-                           "krylov": sum(e["krylov"] for e in trial.trace)})
-        return trial if outcome == "accepted" else None
+        entry = {"stage": "newton_handoff", "iter": steps, "energy": phi,
+                 "stationarity": float(np.max(np.abs(defect)))}
+        self.trace.append(entry)
+        return _newton_trial(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
+                             self.cfg, self.floor, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +437,8 @@ def _path_max(op: FractionalOperator, path: np.ndarray, exps: ExponentPair, eps:
 
 
 def mountain_pass(op: FractionalOperator, exps: ExponentPair,
-                  cfg: SolverConfig = SolverConfig(),
-                  allow_any_superlinear: bool = False) -> SolutionPair:
-    """Path-deformation solver for the superlinear subcritical regime.
+                  cfg: SolverConfig = SolverConfig()) -> SolutionPair:
+    """Path-deformation solver for pq > 1.
 
     Endpoints are 0 and t * bump with the energy at t * bump pushed below 0
     by doubling t.  The path is an (m+1) x N array, a node per row.  Each
@@ -460,21 +454,15 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     collapses to zero or to a non-positive pair triggers a restart with t
     and the budget doubled.
 
-    With allow_any_superlinear the critical/supercritical regimes are
-    admitted as a diagnostic (expected outcome there: nonconvergence); they
-    make no trials, so an early Newton convergence cannot pose as a solution.
+    In the critical and supercritical regimes the run is a diagnostic
+    (expected outcome: nonconvergence) and makes no trials, so an early
+    Newton convergence cannot pose as a solution.
     """
     regime = _regime(op, exps)
     if regime == "sublinear":
         raise ConfigurationError("mountain_pass requires p*q > 1; use minimize_sublinear")
-    if regime != "superlinear_subcritical" and not allow_any_superlinear:
-        raise ConfigurationError(
-            f"regime is {regime}; pass allow_any_superlinear=True to run the "
-            "mountain pass as a diagnostic there"
-        )
     eps = MP_SMOOTHING
-    bump_cfg = replace(cfg, init="bump")
-    bump = initial_guess(op.grid, bump_cfg)
+    bump = initial_guess(op.grid, replace(cfg, init="bump"))
     t = 1.0
     doublings = 0
     while energy(op, t * bump, exps, eps).value >= 0.0:
@@ -561,9 +549,9 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
     the resolution, with the operator assembled as `op` was; the coarse u
     and v, interpolated to op's nodes, start a monotone Newton run.  By
     Newton's mesh independence that start lies in the fine grid's quadratic
-    basin.  The run is accepted under the rule of the Newton handoff, with
-    a collapse floor of 1e-6 of the start's sup-norm; the result is None
-    when it is rejected or the coarse level fails.
+    basin.  `_newton_trial` judges the run, with a collapse floor of 1e-6
+    of the start's sup-norm; the result is None when it is rejected or the
+    coarse level fails.
     """
     grid = op.grid
     entry = {"stage": "coarse_to_fine", "resolution": grid.resolution,
@@ -575,10 +563,8 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
         entry["outcome"] = f"coarse level failed: {exc}"
         return None, entry
     u0, v0 = (interpolate(coarse_grid, w, grid.x) for w in (coarse.u, coarse.v))
-    trial = newton_polish(op, u0, v0, exps, cfg, _monotone=True)
-    entry.update(outcome=_trial_outcome(trial, 1e-6 * float(np.max(np.abs(u0))), cfg),
-                 newton_iters=trial.iterations, krylov=sum(e["krylov"] for e in trial.trace))
-    if entry["outcome"] != "accepted":
+    trial = _newton_trial(op, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
+    if trial is None:
         return None, entry
     return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations, cfg), entry
 
@@ -606,4 +592,4 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
             return warm
         fallback = mountain_pass(op, exps, cfg)
         return replace(fallback, trace=[entry] + fallback.trace)
-    return mountain_pass(op, exps, cfg, allow_any_superlinear=True)
+    return mountain_pass(op, exps, cfg)

@@ -11,7 +11,7 @@ import pytest
 
 import fraclane.cli
 import fraclane.operator
-from fraclane import Domain, build_grid
+from fraclane import Domain, SolverConfig, build_grid
 from fraclane.cli import RECORD_FIELDS, main
 from fraclane.errors import NonconvergenceError
 
@@ -231,6 +231,7 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         {"domain": {"kind": "interval", "endpoints": [1]}},
         {"domain": {"kind": "rectangle", "sides": [1, "a"]}},
         {"residual_tol": "nan"},
+        {"seed": -1},
     ]):
         cfg = tmp_path / f"bad{index}.json"
         cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, **bad}))
@@ -242,7 +243,23 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5,2:2",
                    "--outdir", out) == 4, bad
         assert not out.exists()
-    capsys.readouterr()
+    # a negative seed as a flag, where a random start would use it
+    assert run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 16, "--init", "random",
+               "--seed", -1, "--outdir", tmp_path / "negative_seed") == 4
+    assert not (tmp_path / "negative_seed").exists()
+    for trials in (0, -3):
+        assert run("audit", "--resolution", 16, "--trials", trials) == 4
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative, got -1" in err
+    assert "--trials must be at least 1, got 0" in err
+
+
+def test_validated_defaults_are_the_solver_config_defaults():
+    cfg = fraclane.cli._validated({})
+    defaults = SolverConfig()
+    for key in ("max_iter", "mp_sweeps", "residual_tol", "seed", "init"):
+        assert cfg[key] == getattr(defaults, key), key
+    assert fraclane.cli._solver_config(cfg, cfg["init"]) == defaults
 
 
 def test_integer_keys_take_integral_values_only(tmp_path, capsys):
@@ -316,23 +333,30 @@ def test_supercritical_convergence_is_flagged_as_artifact(tmp_path):
 
 
 def test_record_round_trip_is_bitwise(tmp_path):
-    out1 = tmp_path / "rt1"
-    assert run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 32,
-               "--init", "random", "--seed", 5, "--outdir", out1) == 0
-    first = json.loads((out1 / "record.json").read_text())
+    # the superlinear solve starts from the bump and makes no second start,
+    # whatever was asked; its echo says so, and reruns to the same record
+    for name, argv, echoed in (
+            ("sublinear", ("--p", 0.5, "--q", 0.5, "--init", "random", "--seed", 5),
+             ("random", None)),
+            ("superlinear", ("--p", 2, "--q", 2, "--s", 0.25, "--init", "random",
+                             "--second-init", "zero"), ("bump", None))):
+        out1 = tmp_path / f"{name}1"
+        assert run("solve", "--resolution", 32, *argv, "--outdir", out1) == 0
+        first = json.loads((out1 / "record.json").read_text())
+        assert (first["input"]["init"], first["input"]["second_init"]) == echoed
 
-    cfg2 = tmp_path / "echo.json"
-    cfg2.write_text(json.dumps(first["input"]))
-    out2 = tmp_path / "rt2"
-    assert run("solve", "--config", cfg2, "--outdir", out2) == 0
-    second = json.loads((out2 / "record.json").read_text())
+        cfg2 = tmp_path / f"{name}.json"
+        cfg2.write_text(json.dumps(first["input"]))
+        out2 = tmp_path / f"{name}2"
+        assert run("solve", "--config", cfg2, "--outdir", out2) == 0
+        second = json.loads((out2 / "record.json").read_text())
 
-    first.pop("wall_time_s"), second.pop("wall_time_s")
-    first["input"].pop("outdir"), second["input"].pop("outdir")
-    assert first == second
-    sol1 = (out1 / "solution.csv").read_text()
-    sol2 = (out2 / "solution.csv").read_text()
-    assert sol1 == sol2
+        first.pop("wall_time_s"), second.pop("wall_time_s")
+        first["input"].pop("outdir"), second["input"].pop("outdir")
+        assert first == second
+        sol1 = (out1 / "solution.csv").read_text()
+        sol2 = (out2 / "solution.csv").read_text()
+        assert sol1 == sol2
 
 
 # ---------------------------------------------------------------------------

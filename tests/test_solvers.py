@@ -147,12 +147,13 @@ def _newton_step_cases():
     yield op, u, 0.8 * u, ExponentPair(2.0, 2.0)
 
 
-def test_newton_step_matches_full_jacobian_solve():
+def test_newton_step_matches_full_jacobian_solve(monkeypatch):
     # one uncapped iteration: the returned pair is the start plus one step
-    cfg = SolverConfig(newton_max_iter=1, newton_step_cap=1e6)
+    monkeypatch.setattr(fraclane.solvers, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(fraclane.solvers, "NEWTON_STEP_CAP", 1e6)
     for op, u, v, exps in _newton_step_cases():
         m = op.n_nodes
-        pair = newton_polish(op, u, v, exps, cfg)
+        pair = newton_polish(op, u, v, exps)
         assert not pair.converged and pair.iterations == 1
         step = np.concatenate([pair.u - u, pair.v - v])
         ref = oracles.block_newton_step(op, u, v, exps.pf, exps.qf)
@@ -160,17 +161,17 @@ def test_newton_step_matches_full_jacobian_solve():
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_newton_polish_allocates_no_square_array():
+def test_newton_polish_allocates_no_square_array(monkeypatch):
     # an N x N array alone is N^2 doubles; the Krylov step holds a (61, N)
     # basis and a few vectors
+    monkeypatch.setattr(fraclane.solvers, "NEWTON_MAX_ITER", 2)
     grid = build_grid(Domain.interval(-1.0, 1.0), 600)
     op = assemble(grid, 0.5)
     op.factor()  # the operator's cached factor is not newton_polish's allocation
     shape = np.sqrt(1.0 - grid.x[:, 0] ** 2)
     tracemalloc.start()
     try:
-        pair = newton_polish(op, 3.0 * shape, 2.0 * shape, ExponentPair(2.0, 2.0),
-                             SolverConfig(newton_max_iter=2))
+        pair = newton_polish(op, 3.0 * shape, 2.0 * shape, ExponentPair(2.0, 2.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -411,7 +412,8 @@ def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
     # and 2 Newton iterations), the one after 20 converges in 4.  Matvec
     # rows: 21 path maxima of 19 interior rows, 21 gradients, one
     # stationarity (2), 105 Armijo trials, and the three trials' Newton
-    # residuals and result pairs (13 + 11 + 15).
+    # iterates, two rows each (A u and A v), which also give each trial's
+    # floor, residuals and energy (4 + 3 + 5 iterates: 8 + 6 + 10).
     grid, _ = setup64
     op = assemble(grid, 0.5)
     calls = _count_calls(op, monkeypatch)
@@ -422,8 +424,8 @@ def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
                         (10, "no contraction at iteration 2"), (20, "accepted")]
     assert calls["gradient"] == 21  # 20 sweeps run, the 21st stopped by the trial
     assert pair.iterations == 20 + 4
-    assert calls["matvecs"] == 21 * 19 + 21 + 2 + 105 + 13 + 11 + 15
-    assert calls["apply"] == 188  # the matvecs less 18 rows per path maximum
+    assert calls["matvecs"] == 21 * 19 + 21 + 2 + 105 + 8 + 6 + 10
+    assert calls["apply"] == 173  # the matvecs less 18 rows per path maximum
 
 
 def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
@@ -433,8 +435,9 @@ def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     # stationarity.  Endpoint energies are never evaluated, and the polish
     # seed reuses the ridge's product: 3 matvecs fewer per sweep and per
     # attempt than evaluating every node and the gradient from scratch
-    # (1236 for this case).  The 19 interior products of a sweep are one
-    # stacked call.
+    # (1236 for this case).  The polish evaluates 2 rows per iterate and
+    # nothing more: 5 fewer than recomputing its floor, residuals and
+    # energy.  The 19 interior products of a sweep are one stacked call.
     grid, _ = setup64
     op = assemble(grid, 0.5)
     calls = _count_calls(op, monkeypatch)
@@ -443,8 +446,8 @@ def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     assert pair.accepted
     assert not any(e["iter"] == -1 for e in pair.trace)  # one attempt, no restart
     assert calls["gradient"] == 40  # exactly one gradient per sweep
-    assert calls["matvecs"] == 1236 - 3 * 40 - 3
-    assert calls["apply"] == 1113 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
+    assert calls["matvecs"] == 1236 - 3 * 40 - 3 - 5
+    assert calls["apply"] == 1108 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
 
 
 def test_mountain_pass_hands_off_to_newton_early(monkeypatch):
@@ -503,15 +506,17 @@ def test_handoff_trace_keeps_the_work_of_a_rejected_trial():
 
 def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
     # s = 1/4 in 1D: (3, 3) is critical and (4, 4) supercritical.  There the
-    # mountain pass is a diagnostic: every attempt runs its whole budget.
+    # mountain pass is a diagnostic: every attempt runs its whole budget,
+    # whether solve_system dispatches to it or it is called directly.
     op = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.25)
     cfg = SolverConfig(mp_sweeps=40)
-    for exps, regime in ((ExponentPair(3.0, 3.0), "critical"),
-                         (ExponentPair(4.0, 4.0), "supercritical")):
+    for exps, regime, solver in ((ExponentPair(3.0, 3.0), "critical", solve_system),
+                                 (ExponentPair(4.0, 4.0), "supercritical", solve_system),
+                                 (ExponentPair(3.0, 3.0), "critical", mountain_pass)):
         assert exps.regime(1, 0.25) == regime
         calls = _count_calls(op, monkeypatch)
         try:
-            trace = solve_system(op, exps, cfg).trace
+            trace = solver(op, exps, cfg).trace
             attempts = 1 + sum(e["iter"] == -1 for e in trace)
         except NonconvergenceError as exc:
             trace = exc.trace
