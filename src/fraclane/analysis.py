@@ -25,6 +25,7 @@ from .errors import ConfigurationError
 from .operator import FractionalOperator
 
 EPS_FLOOR = 1e-14  # relative-residual denominators (the critical case has rhs exactly 0)
+AUDIT_INVERSE_MAX_NODES = 64  # the audit also checks the dense inverse up to this size
 
 __all__ = [
     "BoundaryFit",
@@ -240,11 +241,11 @@ class AuditReport:
         return self.passes == self.trials and not self.witnesses
 
 
-def maximum_principle_audit(op: FractionalOperator, trials: int = 100, seed: int = 0,
-                            check_inverse: bool | None = None) -> AuditReport:
+def maximum_principle_audit(op: FractionalOperator, trials: int = 100,
+                            seed: int = 0) -> AuditReport:
     """Random nonnegative right-hand sides must give strictly positive
-    solutions; optionally also verify the matrix inverse is entrywise
-    nonnegative (done by default on small operators)."""
+    solutions; on operators of at most AUDIT_INVERSE_MAX_NODES nodes the
+    matrix inverse must also be entrywise nonnegative."""
     rng = np.random.default_rng(seed)
     n = op.n_nodes
     passes = 0
@@ -268,9 +269,7 @@ def maximum_principle_audit(op: FractionalOperator, trials: int = 100, seed: int
                 "argmin": int(np.argmin(w)),
             })
     inv_ok = None
-    if check_inverse is None:
-        check_inverse = n <= 64
-    if check_inverse:
+    if n <= AUDIT_INVERSE_MAX_NODES:
         inv = np.linalg.inv(op.matrix)
         inv_ok = bool(np.min(inv) >= -1e-13 * np.max(np.abs(inv)))
     return AuditReport(trials, passes, witnesses, inv_ok)

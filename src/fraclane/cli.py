@@ -56,28 +56,23 @@ _DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
 
 
 def _cast(kind, value, name: str):
-    """`kind(value)`, with a malformed value reported as a configuration
-    error; `int` also rejects a float with a fractional part."""
+    """`kind(value)`, with a malformed value, or one beyond the float range,
+    reported as a configuration error; `int` also rejects a float with a
+    fractional part."""
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
+        result = kind(value)
+        float(result)
+        return result
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{name} must be {expected}, got {value!r}") from None
 
 
 def _numbers(text: str, name: str, sep: str = ",") -> list:
-    """The floats of a `sep`-separated flag value."""
-    return [_cast(float, item, name) for item in text.split(sep)]
-
-
-def _parse_number(text: str, name: str):
-    """Exact Fraction for rational-looking input, float otherwise."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return _cast(float, text, name)
+    """The exact rationals of a `sep`-separated flag value."""
+    return [_cast(Fraction, item, name) for item in text.split(sep)]
 
 
 def _domain_from_config(cfg: dict) -> Domain:
@@ -131,9 +126,9 @@ def _validated(cfg: dict) -> dict:
     out = {
         "domain": dict(cfg["domain"]),
         "resolution": _cast(int, cfg.get("resolution", 128), "resolution"),
-        "s": _cast(float, cfg.get("s", 0.5), "s"),
-        "p": _cast(float, cfg["p"], "p") if "p" in cfg else None,
-        "q": _cast(float, cfg["q"], "q") if "q" in cfg else None,
+        "s": _cast(Fraction, cfg.get("s", 0.5), "s"),
+        "p": _cast(Fraction, cfg["p"], "p") if "p" in cfg else None,
+        "q": _cast(Fraction, cfg["q"], "q") if "q" in cfg else None,
         "seed": _cast(int, cfg.get("seed", defaults.seed), "seed"),
         "init": cfg.get("init", defaults.init),
         "second_init": cfg.get("second_init"),
@@ -149,6 +144,9 @@ def _validated(cfg: dict) -> dict:
                                  f"got {out['residual_tol']}")
     if out["seed"] < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {out['seed']}")
+    for key in ("max_iter", "mp_sweeps"):
+        if out[key] < 1:
+            raise ConfigurationError(f"{key} must be at least 1, got {out[key]}")
     if out["init"] not in INITS:
         raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
     if out["second_init"] is not None and out["second_init"] not in INITS:
@@ -184,9 +182,14 @@ def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None
     def sup(w):
         return None if pair is None else float(np.max(np.abs(w)))
 
+    def echo(value):  # a rational as its float where that is exact, else "a/b"
+        if isinstance(value, Fraction):
+            return float(value) if value == float(value) else str(value)
+        return value
+
     energy = get(pair, "energy")
     return {
-        "input": cfg,
+        "input": {key: echo(value) for key, value in cfg.items()},
         "regime": regime,
         "method": get(pair, "method"),
         "converged": pair is not None,
@@ -338,12 +341,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = _parse_number(args.p, "p")
-    q = _parse_number(args.q, "q")
-    s = _parse_number(args.s, "s")
+    p, q, s = (_cast(Fraction, getattr(args, key), key) for key in ("p", "q", "s"))
     n = _cast(int, args.n, "dimension")
-    if not 1 <= n:
-        raise ConfigurationError("dimension must be a positive integer")
     exps = ExponentPair(p, q)
     regime = exps.regime(n, s)
     factor = exps.rhs_factor(n, s)
@@ -428,7 +427,7 @@ def _add_domain_flags(sub):
     sub.add_argument("--radius", type=float)
     sub.add_argument("--center", nargs="*", type=float)
     sub.add_argument("--resolution", type=int)
-    sub.add_argument("--s", type=float, help="fractional order in (0,1)")
+    sub.add_argument("--s", help="fractional order in (0,1) (accepts fractions like 1/3)")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--outdir", help="output directory (default $FRACLANE_OUTDIR or ./fraclane_out)")
     sub.add_argument("--singular-correction", action="store_true", default=None,
@@ -445,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sol = subs.add_parser("solve", help="solve one problem and write record + solution")
     _add_domain_flags(sol)
-    sol.add_argument("--p", type=float)
-    sol.add_argument("--q", type=float)
+    sol.add_argument("--p", help="first exponent (accepts fractions like 1/3)")
+    sol.add_argument("--q", help="second exponent")
     sol.add_argument("--init", choices=INITS, help="sublinear regime: start of the descent")
     sol.add_argument("--second-init", dest="second_init", choices=INITS,
                      help="sublinear regime: run a second solve from this start "
@@ -465,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pha = subs.add_parser("phase-diagram", help="sweep (p, q) points and tabulate outcomes")
     _add_domain_flags(pha)
-    pha.add_argument("--pairs", help="comma-separated p:q list, e.g. 0.5:0.5,3:3")
+    pha.add_argument("--pairs", help="comma-separated p:q list, e.g. 0.5:0.5,1/3:6")
     pha.add_argument("--p-list", dest="p_list", help="comma-separated p values (cartesian with --q-list)")
     pha.add_argument("--q-list", dest="q_list", help="comma-separated q values")
     # accepted and ignored, since the points run one after another:

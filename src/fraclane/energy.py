@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -22,26 +21,33 @@ from .errors import ConfigurationError
 from .operator import FractionalOperator
 
 
-def _as_exact(value):
-    """Fraction when the value is exactly rational-typed, else None."""
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return None
+def _rational(value, name: str) -> Fraction:
+    """The exact rational of a number or of its text (a float is the dyadic
+    rational it holds).  NaN, infinities, malformed text and values beyond
+    the float range, which the solvers compute in, raise."""
+    try:
+        exact = Fraction(value)
+        float(exact)
+        return exact
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ConfigurationError(f"{name} must be a finite rational, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class ExponentPair:
     """Positive exponent pair (p, q) with the regime arithmetic.
 
-    Values may be ints, Fractions, or floats; rational inputs are classified
-    in exact arithmetic.
+    p and q are stored as exact rationals and every regime decision is made
+    in exact arithmetic; `pf` and `qf` are the floats the solvers use.
     """
 
-    p: object
-    q: object
+    p: Fraction
+    q: Fraction
 
     def __post_init__(self):
-        if not (self.p > 0 and self.q > 0):
+        object.__setattr__(self, "p", _rational(self.p, "p"))
+        object.__setattr__(self, "q", _rational(self.q, "q"))
+        if not (self.pf > 0 and self.qf > 0):  # an exponent the floats hold as 0 is not positive
             raise ConfigurationError("exponents must be positive")
 
     @property
@@ -53,57 +59,32 @@ class ExponentPair:
         return float(self.q)
 
     @property
-    def pq(self):
+    def pq(self) -> Fraction:
         return self.p * self.q
 
-    def hyperbole_gap(self, n: int, s):
-        """1/(p+1) + 1/(q+1) - (n-2s)/n, defined only for n > 2s.
-
-        Positive below the critical curve, zero on it, negative above.
-        Exact when p, q, s are rational.
-        """
-        pe, qe, se = _as_exact(self.p), _as_exact(self.q), _as_exact(s)
-        if pe is not None and qe is not None and se is not None:
-            if not n > 2 * se:
-                raise ConfigurationError("hyperbole gap undefined for n <= 2s")
-            return 1 / (pe + 1) + 1 / (qe + 1) - Fraction(n - 2 * se, n)
-        s = float(s)
-        if not n > 2 * s:
-            raise ConfigurationError("hyperbole gap undefined for n <= 2s")
-        return 1.0 / (self.pf + 1) + 1.0 / (self.qf + 1) - (n - 2 * s) / n
-
-    def rhs_factor(self, n: int, s):
-        """n/(q+1) + n/(p+1) - (n-2s): the interior-term coefficient in the
-        boundary/interior integral identity; n times the hyperbole gap."""
-        pe, qe, se = _as_exact(self.p), _as_exact(self.q), _as_exact(s)
-        if pe is not None and qe is not None and se is not None:
-            return n / (qe + 1) + n / (pe + 1) - (n - 2 * se)
-        s = float(s)
-        return n / (self.qf + 1) + n / (self.pf + 1) - (n - 2 * s)
+    def rhs_factor(self, n: int, s) -> Fraction:
+        """n/(q+1) + n/(p+1) - (n-2s), exactly: the interior-term coefficient
+        in the boundary/interior integral identity.  Positive below the
+        critical curve 1/(p+1) + 1/(q+1) = (n-2s)/n, zero on it, negative
+        above."""
+        return n / (self.q + 1) + n / (self.p + 1) - (n - 2 * _rational(s, "s"))
 
     def regime(self, n: int, s) -> str:
         """One of: sublinear, resonant, superlinear_subcritical, critical,
-        supercritical."""
-        se = _as_exact(s)
-        sf = float(s)
-        if not 0 < sf < 1:
+        supercritical.  For n <= 2s there is no critical curve: the factor
+        is then positive and every superlinear pair is subcritical."""
+        if not 0 < _rational(s, "s") < 1:
             raise ConfigurationError(f"fractional order must lie in (0,1), got {s}")
         if n < 1:
             raise ConfigurationError("dimension must be >= 1")
-        pe, qe = _as_exact(self.p), _as_exact(self.q)
-        exact = pe is not None and qe is not None
-        pq = pe * qe if exact else self.pf * self.qf
-        if pq < 1:
+        if self.pq < 1:
             return "sublinear"
-        if pq == 1:
+        if self.pq == 1:
             return "resonant"
-        two_s = 2 * se if se is not None else 2 * sf
-        if n <= two_s:
+        factor = self.rhs_factor(n, s)
+        if factor > 0:
             return "superlinear_subcritical"
-        gap = self.hyperbole_gap(n, s)
-        if gap > 0:
-            return "superlinear_subcritical"
-        if gap == 0:
+        if factor == 0:
             return "critical"
         return "supercritical"
 

@@ -139,7 +139,7 @@ class FractionalOperator:
     records how `assemble` built the matrix, so an operator on another grid
     can be assembled the same way."""
 
-    def __init__(self, grid: Grid, s: float, matrix: np.ndarray,
+    def __init__(self, grid: Grid, s, matrix: np.ndarray,
                  singular_correction: bool = False):
         self.grid = grid
         self.s = s
@@ -182,8 +182,10 @@ class FractionalOperator:
         return float(self.matrix[0, 0])
 
 
-def assemble(grid: Grid, s: float, singular_correction: bool = False) -> FractionalOperator:
-    """Build the dense symmetric operator matrix for the grid.
+def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOperator:
+    """Build the dense symmetric operator matrix for the grid.  The operator
+    keeps `s` as given (an exact rational stays exact, for the regime); the
+    kernel uses its float.
 
     With `singular_correction` the central cell, which contributes nothing
     for flat functions, adds the analytic kernel second moment times a
@@ -191,7 +193,7 @@ def assemble(grid: Grid, s: float, singular_correction: bool = False) -> Fractio
     M-matrix sign pattern and matters as s -> 1, where the central cell
     carries most of the operator's mass.
     """
-    s = _check_order(s)
+    order, s = s, _check_order(s)
     c = normalization_constant(grid.dim, s)
     res, dim = grid.resolution, grid.dim
     # kern[|offset| per axis]: c K_total at offset 0, -c beta elsewhere
@@ -220,4 +222,4 @@ def assemble(grid: Grid, s: float, singular_correction: bool = False) -> Fractio
         rows = slice(start, start + step)
         # every index is in range; mode="raise" would buffer the output block
         np.take(full, pos[None, :] + (center - pos[rows])[:, None], out=matrix[rows], mode="clip")
-    return FractionalOperator(grid, s, matrix, singular_correction)
+    return FractionalOperator(grid, order, matrix, singular_correction)

@@ -232,6 +232,9 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         {"domain": {"kind": "rectangle", "sides": [1, "a"]}},
         {"residual_tol": "nan"},
         {"seed": -1},
+        {"max_iter": 0},
+        {"mp_sweeps": -5},
+        {"s": "1/0"},
     ]):
         cfg = tmp_path / f"bad{index}.json"
         cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, **bad}))
@@ -249,9 +252,16 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
     assert not (tmp_path / "negative_seed").exists()
     for trials in (0, -3):
         assert run("audit", "--resolution", 16, "--trials", trials) == 4
+    for flags in (["--max-iter", -7], ["--mp-sweeps", -5], ["--s", "1/0"]):
+        assert run("solve", "--p", 2, "--q", 2, "--resolution", 16, *flags,
+                   "--outdir", tmp_path / "bad_flag") == 4, flags
+    assert not (tmp_path / "bad_flag").exists()
     err = capsys.readouterr().err
     assert "seed must be nonnegative, got -1" in err
     assert "--trials must be at least 1, got 0" in err
+    assert "max_iter must be at least 1, got 0" in err
+    assert "mp_sweeps must be at least 1, got -5" in err
+    assert "s must be a number, got '1/0'" in err
 
 
 def test_validated_defaults_are_the_solver_config_defaults():
@@ -334,16 +344,22 @@ def test_supercritical_convergence_is_flagged_as_artifact(tmp_path):
 
 def test_record_round_trip_is_bitwise(tmp_path):
     # the superlinear solve starts from the bump and makes no second start,
-    # whatever was asked; its echo says so, and reruns to the same record
-    for name, argv, echoed in (
-            ("sublinear", ("--p", 0.5, "--q", 0.5, "--init", "random", "--seed", 5),
-             ("random", None)),
-            ("superlinear", ("--p", 2, "--q", 2, "--s", 0.25, "--init", "random",
-                             "--second-init", "zero"), ("bump", None))):
+    # whatever was asked; its echo says so, and reruns to the same record.
+    # A rational whose float is inexact is echoed as "a/b" and read back exactly.
+    for name, argv, regime, echoed in (
+            ("sublinear", ("--resolution", 32, "--p", 0.5, "--q", 0.5, "--init", "random",
+                           "--seed", 5),
+             "sublinear", {"init": "random", "second_init": None, "s": 0.5}),
+            ("superlinear", ("--resolution", 32, "--p", 2, "--q", 2, "--s", 0.25,
+                             "--init", "random", "--second-init", "zero"),
+             "superlinear_subcritical", {"init": "bump", "second_init": None, "p": 2.0}),
+            ("critical", ("--resolution", 16, "--p", 5, "--q", 5, "--s", "1/3"),
+             "critical", {"init": "bump", "s": "1/3", "p": 5.0})):
         out1 = tmp_path / f"{name}1"
-        assert run("solve", "--resolution", 32, *argv, "--outdir", out1) == 0
+        assert run("solve", *argv, "--outdir", out1) == 0
         first = json.loads((out1 / "record.json").read_text())
-        assert (first["input"]["init"], first["input"]["second_init"]) == echoed
+        assert first["regime"] == regime
+        assert {key: first["input"][key] for key in echoed} == echoed
 
         cfg2 = tmp_path / f"{name}.json"
         cfg2.write_text(json.dumps(first["input"]))
@@ -389,6 +405,22 @@ def test_phase_diagram_sweep(tmp_path):
     assert csv_lines[0].startswith("p,q,regime,converged,method")
     assert len(csv_lines) == 6
 
+
+
+def test_entry_points_agree_on_a_rational_order(tmp_path, capsys):
+    """(5, 5) at n = 1, s = 1/3 lies on the critical curve; every entry point
+    reads the text 1/3 exactly, and a rational exponent is accepted too."""
+    assert run("classify", 5, 5, 1, "1/3") == 0
+    assert "regime: critical" in capsys.readouterr().out
+    out = tmp_path / "rational"
+    assert run("phase-diagram", "--pairs", "5:5,1/3:6", "--s", "1/3", "--resolution", 16,
+               "--outdir", out) == 0
+    rows = json.loads((out / "phase_diagram.json").read_text())
+    assert [row["regime"] for row in rows] == ["critical", "superlinear_subcritical"]
+    assert [(row["input"]["p"], row["input"]["s"]) for row in rows] == [(5.0, "1/3"),
+                                                                       ("1/3", "1/3")]
+    assert rows[1]["converged"] is True
+    assert (out / "phase_diagram.csv").read_text().splitlines()[2].startswith("1/3,6.0,")
 
 
 def test_phase_diagram_csv_quotes_embedded_quotes(tmp_path, monkeypatch):

@@ -37,11 +37,16 @@ def test_regime_exact_rational_boundary_cases():
     # pq = 1 detected exactly for rationals and for exact float products
     assert ExponentPair(Fraction(1, 3), 3).regime(1, half) == "resonant"
     assert ExponentPair(0.5, 2.0).regime(1, half) == "resonant"
-    # exactly on the critical curve: gap is the exact Fraction zero
+    # exactly on the critical curve: the factor is the exact Fraction zero
     crit = ExponentPair(2, 2)
-    assert crit.hyperbole_gap(3, half) == 0
     assert crit.rhs_factor(3, half) == 0
-    assert isinstance(crit.hyperbole_gap(3, half), Fraction)
+    assert isinstance(crit.rhs_factor(3, half), Fraction)
+    assert crit.regime(3, half) == "critical"
+    # a float is the dyadic rational it holds: this q is the float nearest
+    # the critical q = 529/15 and lies just below it, where float arithmetic
+    # reads "critical"
+    assert ExponentPair(0.0625, 35.266666666666666).regime(1, 0.015625) \
+        == "superlinear_subcritical"
 
 
 def test_low_dimension_makes_every_superlinear_pair_subcritical():
@@ -50,19 +55,20 @@ def test_low_dimension_makes_every_superlinear_pair_subcritical():
     assert ExponentPair(3, 3).regime(1, 0.7) == "superlinear_subcritical"
 
 
-def test_hyperbole_gap_sign_matches_rhs_factor_sign():
+def test_rhs_factor_is_n_times_the_curve_gap():
     half = Fraction(1, 2)
     for p in (Fraction(1, 2), 1, 2, 3, 7):
         for q in (Fraction(1, 2), 1, 2, 3, 7):
-            pair = ExponentPair(p, q)
-            gap = pair.hyperbole_gap(3, half)
-            factor = pair.rhs_factor(3, half)
-            assert factor == 3 * gap
+            gap = 1 / Fraction(p + 1) + 1 / Fraction(q + 1) - Fraction(3 - 2 * half, 3)
+            assert ExponentPair(p, q).rhs_factor(3, half) == 3 * gap
 
 
-def test_hyperbole_gap_undefined_at_or_below_2s():
-    with pytest.raises(ConfigurationError):
-        ExponentPair(2, 2).hyperbole_gap(1, 0.5)
+def test_rhs_factor_positive_at_or_below_2s():
+    # n <= 2s: n - 2s <= 0, so the factor is positive and no pair is critical
+    pair = ExponentPair(2, 2)
+    for s in (Fraction(1, 2), Fraction(7, 10)):
+        assert pair.rhs_factor(1, s) == Fraction(2, 3) + 2 * s - 1 > 0
+        assert pair.regime(1, s) == "superlinear_subcritical"
 
 
 def test_nonpositive_exponents_rejected():
@@ -70,6 +76,15 @@ def test_nonpositive_exponents_rejected():
         ExponentPair(0, 1)
     with pytest.raises(ConfigurationError):
         ExponentPair(2, -1)
+
+
+def test_exponents_are_exact_rationals():
+    pair = ExponentPair("1/3", 0.1)
+    assert pair.p == Fraction(1, 3) and pair.pf == 1 / 3
+    assert pair.q == Fraction(0.1) != Fraction(1, 10) and pair.qf == 0.1
+    for bad in (float("nan"), float("inf"), "1/0", "abc", None, "1e400"):
+        with pytest.raises(ConfigurationError):
+            ExponentPair(bad, 2)
 
 
 def test_bad_order_rejected_by_regime():

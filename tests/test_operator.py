@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,14 @@ import oracles
 from fraclane import (
     ConfigurationError,
     Domain,
+    ExponentPair,
     assemble,
     ball_torsion_constant,
     build_grid,
     normalization_constant,
 )
 from fraclane.operator import _ktotal_2d
+from fraclane.solvers import _regime
 
 # ---------------------------------------------------------------------------
 # normalization constant
@@ -152,6 +155,18 @@ def test_assembly_matches_the_offset_array_oracle_bitwise(domain, resolution):
             got = assemble(grid, s, singular_correction=correction).matrix
             assert np.array_equal(got, ref), (s, correction)
             assert np.array_equal(np.signbit(got), np.signbit(ref)), (s, correction)
+
+
+def test_assembly_keeps_an_exact_order_and_builds_from_its_float():
+    """The regime is read from op.s, so a rational order stays exact there;
+    the kernel is the one of the order's float."""
+    grid = build_grid(Domain.disk(1.0), 12)
+    op = assemble(grid, Fraction(1, 3))
+    assert op.s == Fraction(1, 3) and isinstance(op.s, Fraction)
+    assert op.matrix.tobytes() == assemble(grid, 1 / 3).matrix.tobytes()
+    # on the critical curve at n = 2, s = 1/3; the float of 1/3 is below 1/3, so above the curve
+    assert _regime(op, ExponentPair(2, 2)) == "critical"
+    assert _regime(assemble(grid, 1 / 3), ExponentPair(2, 2)) == "supercritical"
 
 
 @pytest.mark.parametrize("domain, resolution, bound", [
