@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +51,11 @@ class ExponentPair:
         if not (self.pf > 0 and self.qf > 0):  # an exponent the floats hold as 0 is not positive
             raise ConfigurationError("exponents must be positive")
 
-    @property
+    @cached_property  # written to the instance dict, which `frozen` leaves open
     def pf(self) -> float:
         return float(self.p)
 
-    @property
+    @cached_property
     def qf(self) -> float:
         return float(self.q)
 

@@ -63,6 +63,7 @@ MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
 MAX_RESTARTS = 3         # mountain-pass collapse restarts
 KRYLOV_MAX_ITER = 60     # GMRES budget of one Newton step
 KRYLOV_RTOL = 1e-12      # GMRES tolerance, relative to the step's right-hand side
+FORCING_MAX = 1e-2       # cap of the forcing term of a monotone (trial) Newton run
 NEWTON_MAX_ITER = 150    # Newton steps of one polish
 NEWTON_STEP_CAP = 0.5    # Newton step cap as a fraction of the current sup-norm
 COARSE_FLOOR = 16        # coarsest resolution of a coarse-to-fine solve
@@ -154,14 +155,14 @@ def _power_derivative(x: np.ndarray, e: float) -> np.ndarray:
     return np.where(x > 0.0, full, 0.0)
 
 
-def _gmres(matvec, b: np.ndarray) -> tuple:
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple:
     """Unrestarted GMRES for M x = b from x = 0: (x, Arnoldi steps taken).
 
     The Krylov basis is built by classical Gram-Schmidt applied twice (CGS2)
     in a preallocated (KRYLOV_MAX_ITER + 1, N) array, and the Hessenberg
     columns are reduced by Givens rotations on Python floats.  x is None on
-    breakdown (a zero Krylov vector before the residual is below
-    KRYLOV_RTOL |b|) and when the budget runs out.
+    breakdown (a zero Krylov vector before the residual is below rtol |b|)
+    and when the budget runs out.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
@@ -188,7 +189,7 @@ def _gmres(matvec, b: np.ndarray) -> tuple:
         hess[:k + 1, k] = col
         g.append(-sub / r * g[k])
         g[k] *= rotations[-1][0]
-        if abs(g[k + 1]) <= KRYLOV_RTOL * beta:
+        if abs(g[k + 1]) <= rtol * beta:
             return solve_triangular(hess[:k + 1, :k + 1], g[:k + 1]) @ q, k + 1
         np.divide(w, sub, out=basis[k + 1])
     return None, KRYLOV_MAX_ITER
@@ -209,12 +210,11 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     by GMRES in a number of iterations that hardly depends on the mesh.
     Each GMRES iteration costs two `op.solve` calls; no N x N array is
     formed, and Newton reads only `op.apply` and `op.solve`.  The GMRES
-    tolerance is fixed: one that loosens with the Newton residual
-    (Eisenstat-Walker) moves the critical and supercritical diagnostics to
-    other outcomes.  A GMRES breakdown or an exhausted Krylov budget is
-    reported as a singular Jacobian.  Each "newton" trace entry carries the
-    GMRES iteration count of the step taken from it ("krylov", 0 when no
-    step is taken).
+    tolerance is the fixed KRYLOV_RTOL except in a monotone run (below).
+    A GMRES breakdown or an exhausted Krylov budget is reported as a
+    singular Jacobian.  Each "newton" trace entry carries the GMRES
+    tolerance ("rtol") and iteration count ("krylov", 0 when no step is
+    taken) of the step taken from it.
 
     Steps are capped at a fraction of the current sup-norm instead of being
     damped by a residual-decrease rule: near the saddle points of this
@@ -226,14 +226,22 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     an empty message means the pair converged.
 
     `_monotone` turns the iteration into the contraction test of the
-    solvers' Newton handoff: it stops, unconverged, at the first iterate
+    solvers' Newton trials: it stops, unconverged, at the first iterate
     that is not strictly positive or whose residual is not below the
-    previous one.
+    previous one.  Its GMRES tolerance is max(KRYLOV_RTOL, eta_k), an
+    Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17, 1996, choice 2):
+    eta_0 = FORCING_MAX, then eta_k = min(FORCING_MAX, 0.9 (r_k/r_(k-1))^2)
+    for the sup-norm residuals r.  Plain runs, the critical and
+    supercritical diagnostics among them, keep KRYLOV_RTOL: a looser one
+    moves those diagnostics to other outcomes.  A start that is not
+    finite raises NonconvergenceError.
     """
     _regime(op, exps)
     p, q = exps.pf, exps.qf
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise NonconvergenceError("Newton start is not finite (inf or nan in u or v)")
     trace = []
     res = np.inf
     for it in range(NEWTON_MAX_ITER + 1):
@@ -247,7 +255,9 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
         if it == NEWTON_MAX_ITER:  # the last step's result is evaluated, not tested
             message = f"Newton budget exhausted at residual {previous:.3e}"
             break
-        entry = {"stage": "newton", "iter": it, "residual": res, "krylov": 0}
+        eta = min(FORCING_MAX, 0.9 * (res / previous) ** 2) if it else FORCING_MAX
+        rtol = max(KRYLOV_RTOL, eta) if _monotone else KRYLOV_RTOL
+        entry = {"stage": "newton", "iter": it, "residual": res, "krylov": 0, "rtol": rtol}
         trace.append(entry)
         message = ""
         if _monotone and not (np.min(u) > 0.0 and np.min(v) > 0.0):
@@ -259,7 +269,7 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
         du, dv = _power_derivative(u, q), _power_derivative(v, p)
         ainv_fu = op.solve(f_u)
         step_v, entry["krylov"] = _gmres(lambda x: x - op.solve(du * op.solve(dv * x)),
-                                         op.solve(-f_v - du * ainv_fu))
+                                         op.solve(-f_v - du * ainv_fu), rtol)
         if step_v is None:
             message = f"singular Jacobian at iteration {it}"
             break
@@ -348,6 +358,8 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     (u, recover_v(u)) (see `_NewtonHandoff`); a rejected trial lets the
     descent resume where it was.  `max_iter` is therefore a ceiling: when
     it runs out, the final polish is the plain capped Newton iteration.
+    An overflowed trial energy fails the Armijo test; a kept one, or a
+    defect that is not finite, raises NonconvergenceError.
     """
     if _regime(op, exps) != "sublinear":
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
@@ -361,10 +373,16 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     for eps in cfg.smoothing_schedule:
         stage_tol = max(GRADIENT_TOL * op.scale, 0.02 * eps)
         au = op.apply(u)  # recomputed per stage to bound the drift of the carried product
-        phi = energy(op, u, exps, eps, au=au).value
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is tested below
+            phi = energy(op, u, exps, eps, au=au).value
         for _ in range(per_stage):
-            r = op.apply(smoothed_power(au, eps, p)) - np.maximum(u, 0.0) ** q
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = op.apply(smoothed_power(au, eps, p)) - np.maximum(u, 0.0) ** q
             rel = float(np.max(np.abs(r)))
+            if not (math.isfinite(phi) and math.isfinite(rel)):
+                raise NonconvergenceError(f"energy or defect overflowed float64 at descent step "
+                                          f"{steps} (eps = {eps:g}, (p+1)/p = {(p + 1) / p:g})",
+                                          trace=trace)
             trial = handoff(steps, u, phi, r)
             if trial is not None:
                 return _finish(trial, "minimize_sublinear", trace, steps, cfg)
@@ -380,7 +398,8 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
             for _ in range(60):
                 candidate = u + alpha * direction
                 au_new = au + alpha * ad
-                phi_new = energy(op, candidate, exps, eps, au=au_new).value
+                with np.errstate(over="ignore", invalid="ignore"):  # inf fails the test
+                    phi_new = energy(op, candidate, exps, eps, au=au_new).value
                 if phi_new <= phi + ARMIJO * alpha * slope:
                     break
                 alpha *= 0.5
@@ -412,16 +431,17 @@ def _resample_path(path: np.ndarray) -> np.ndarray:
     without it the deformed node slides off the ridge into the zero basin.
     """
     m = len(path) - 1
-    seg = np.sqrt(np.sum(np.diff(path, axis=0) ** 2, axis=1))
+    diff = path[1:] - path[:-1]
+    seg = np.sqrt(np.sum(diff ** 2, axis=1))
     total = float(np.sum(seg))
     if total <= 0.0:
         return path
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, m + 1)[1:-1]
+    targets = np.arange(1.0, m) * (total / m)  # np.linspace(0, total, m + 1)[1:-1]
     i = np.minimum(np.searchsorted(cum, targets, side="right") - 1, m - 1)
     frac = (targets - cum[i]) / np.maximum(seg[i], 1e-300)
     out = path.copy()
-    out[1:-1] = path[i] + frac[:, None] * (path[i + 1] - path[i])
+    out[1:-1] = path[i] + frac[:, None] * diff[i]
     return out
 
 
@@ -512,8 +532,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         t *= 2.0
         sweeps_budget *= 2
         trace.append({"stage": f"mountain_pass_restart{restart}", "iter": -1,
-                      "energy": float("nan"),
-                      "stationarity": float("nan")})
+                      "energy": float("nan"), "stationarity": float("nan")})
     raise NonconvergenceError(
         f"mountain pass failed after {MAX_RESTARTS + 1} attempts "
         f"(last polish: {polished.message or 'collapsed to a non-positive state'})",

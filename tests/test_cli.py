@@ -308,6 +308,20 @@ def test_nonconvergence_exits_2_with_record(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_overflow_is_reported_as_such(tmp_path, capsys):
+    # pq = 0.02 < 1 is well posed, but at p = 0.01 the density |A u|^101
+    # overflows float64 in the first descent step: the verdict must name
+    # the overflow, not a singular Jacobian, and no warning may escape
+    out = tmp_path / "tiny_p"
+    assert run("solve", "--resolution", 64, "--p", 0.01, "--q", 2, "--outdir", out) == 2
+    record = json.loads((out / "record.json").read_text())
+    assert record["regime"] == "sublinear" and record["converged"] is False
+    assert record["verdict"] == ("nonconvergence: energy or defect overflowed float64 "
+                                 "at descent step 1 (eps = 0.01, (p+1)/p = 101)")
+    capsys.readouterr()
+
+
 def test_failed_second_start_exits_2_with_first_pair_record(tmp_path, capsys):
     out = tmp_path / "second"
     code = run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 32,

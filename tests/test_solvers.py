@@ -28,7 +28,7 @@ from fraclane import (
     recover_v,
     solve_system,
 )
-from fraclane.solvers import MAX_RESTARTS
+from fraclane.solvers import FORCING_MAX, KRYLOV_RTOL, MAX_RESTARTS
 
 
 @pytest.fixture(scope="module")
@@ -408,24 +408,23 @@ def _no_handoff(monkeypatch):
 
 
 def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
-    # The trials after 5 and 10 sweeps stop at "no contraction" (after 3
-    # and 2 Newton iterations), the one after 20 converges in 4.  Matvec
-    # rows: 21 path maxima of 19 interior rows, 21 gradients, one
-    # stationarity (2), 105 Armijo trials, and the three trials' Newton
-    # iterates, two rows each (A u and A v), which also give each trial's
-    # floor, residuals and energy (4 + 3 + 5 iterates: 8 + 6 + 10).
+    # The trial after 5 sweeps converges in 7 Newton steps (19 GMRES
+    # iterations under its forcing term).  Matvec rows: 6 path maxima of 19
+    # interior rows, 6 gradients, one stationarity (2), 16 Armijo trials,
+    # and the trial's 8 Newton iterates, two rows each (A u and A v), which
+    # also give its floor, residuals and energy.
     grid, _ = setup64
     op = assemble(grid, 0.5)
     calls = _count_calls(op, monkeypatch)
     pair = mountain_pass(op, ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
     assert pair.accepted
-    handoffs = [(e["iter"], e["outcome"]) for e in _handoffs(pair)]
-    assert handoffs == [(5, "no contraction at iteration 3"),
-                        (10, "no contraction at iteration 2"), (20, "accepted")]
-    assert calls["gradient"] == 21  # 20 sweeps run, the 21st stopped by the trial
-    assert pair.iterations == 20 + 4
-    assert calls["matvecs"] == 21 * 19 + 21 + 2 + 105 + 8 + 6 + 10
-    assert calls["apply"] == 173  # the matvecs less 18 rows per path maximum
+    handoffs = [(e["iter"], e["outcome"], e["newton_iters"], e["krylov"])
+                for e in _handoffs(pair)]
+    assert handoffs == [(5, "accepted", 7, 19)]
+    assert calls["gradient"] == 6  # 5 sweeps run, the 6th stopped by the trial
+    assert pair.iterations == 5 + 7
+    assert calls["matvecs"] == 6 * 19 + 6 + 2 + 16 + 16
+    assert calls["apply"] == 46  # the matvecs less 18 rows per path maximum
 
 
 def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
@@ -469,7 +468,8 @@ def test_mountain_pass_hands_off_to_newton_early(monkeypatch):
 
 def test_rejected_handoff_trial_leaves_the_path_untouched(setup64, monkeypatch):
     # A trial that runs in full and is then rejected must give the pair of a
-    # run whose trials reject without computing anything.
+    # run whose trials reject without computing anything.  Here all three
+    # trials (after 5, 10 and 20 sweeps) converge and are overridden.
     _, op = setup64
     exps, cfg = ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40)
     real = fraclane.solvers._NewtonHandoff.__call__
@@ -482,8 +482,8 @@ def test_rejected_handoff_trial_leaves_the_path_untouched(setup64, monkeypatch):
     tried = mountain_pass(op, exps, cfg)
     _no_handoff(monkeypatch)
     untried = mountain_pass(op, exps, cfg)
-    assert [h["outcome"] for h in _handoffs(tried)] == [
-        "no contraction at iteration 3", "no contraction at iteration 2", "accepted"]
+    assert [(h["iter"], h["outcome"]) for h in _handoffs(tried)] == [
+        (5, "accepted"), (10, "accepted"), (20, "accepted")]
     assert not _handoffs(untried)
     assert tried.u.tobytes() == untried.u.tobytes()
     assert tried.v.tobytes() == untried.v.tobytes()
@@ -643,6 +643,76 @@ def test_coarse_levels_are_assembled_like_the_fine_operator(monkeypatch):
         grid = build_grid(domain, coarse.grid.resolution)
         assert coarse.matrix.tobytes() == assemble(grid, 0.25, True).matrix.tobytes()
         assert coarse.matrix.tobytes() != assemble(grid, 0.25).matrix.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the forcing term of the Newton trials
+
+
+def _gmres_tolerances(monkeypatch):
+    """The relative tolerance of every GMRES solve, in call order."""
+    rtols = []
+    gmres = fraclane.solvers._gmres
+
+    def recording(matvec, b, rtol):
+        rtols.append(rtol)
+        return gmres(matvec, b, rtol)
+
+    monkeypatch.setattr(fraclane.solvers, "_gmres", recording)
+    return rtols
+
+
+def test_only_newton_trials_loosen_the_krylov_tolerance(setup64, monkeypatch):
+    rtols = _gmres_tolerances(monkeypatch)
+    op, u, v = _perturbed_superlinear_start(64)
+    pair = newton_polish(op, u, v, ExponentPair(2.0, 2.0))
+    assert pair.accepted and rtols
+    assert rtols == [KRYLOV_RTOL] * len(rtols)
+    assert [e["rtol"] for e in pair.trace] == [KRYLOV_RTOL] * len(pair.trace)
+
+    # the critical and supercritical diagnostics make no trials, and every
+    # step of their polishes keeps the fixed tolerance
+    diagnostic = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.25)
+    for exps in (ExponentPair(3.0, 3.0), ExponentPair(4.0, 4.0)):
+        rtols.clear()
+        try:
+            mountain_pass(diagnostic, exps, SolverConfig(mp_sweeps=10))
+        except NonconvergenceError:
+            pass
+        assert rtols and rtols == [KRYLOV_RTOL] * len(rtols)
+
+    rtols.clear()
+    pair = mountain_pass(setup64[1], ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
+    steps = [e["rtol"] for e in pair.trace if e["stage"] == "newton" and e["krylov"]]
+    assert rtols == steps  # the one accepted trial made every GMRES solve
+    assert all(KRYLOV_RTOL <= r <= FORCING_MAX for r in steps)
+    assert steps[0] == FORCING_MAX and min(steps) < FORCING_MAX
+
+
+def test_forced_coarse_to_fine_trials_take_fewer_krylov_iterations(monkeypatch):
+    # Levels 32 and 64 on (-1, 1) at s = 1/2, p = q = 2: each trial keeps its
+    # 3 Newton steps, and GMRES drops from 23 + 23 to 12 + 15 iterations.
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 64), 0.5)
+    exps = ExponentPair(2.0, 2.0)
+    forced = solve_system(op, exps)
+    monkeypatch.setattr(fraclane.solvers, "FORCING_MAX", 0.0)  # rtol = KRYLOV_RTOL
+    fixed = solve_system(op, exps)
+    counts = [[(e["resolution"], e["newton_iters"], e["krylov"]) for e in _levels(pair)]
+              for pair in (forced, fixed)]
+    assert counts == [[(32, 3, 12), (64, 3, 15)], [(32, 3, 23), (64, 3, 23)]]
+    assert forced.accepted and fixed.accepted
+    assert np.max(np.abs(forced.u - fixed.u)) <= 1e-12
+    assert np.max(np.abs(forced.v - fixed.v)) <= 1e-12
+
+
+def test_newton_polish_refuses_a_start_that_is_not_finite(setup64):
+    _, op = setup64
+    u = np.ones(op.n_nodes)
+    for bad in (np.inf, np.nan):
+        v = u.copy()
+        v[3] = bad
+        with pytest.raises(NonconvergenceError, match="not finite"):
+            newton_polish(op, u, v, ExponentPair(2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
