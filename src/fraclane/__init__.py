@@ -5,7 +5,7 @@ system
 
 on bounded 1D/2D domains with zero exterior condition, where (-Laplace)^s is
 the restricted fractional Laplacian.  The package computes positive solution
-pairs by direct energy minimization (pq < 1) or a mountain-pass method
+pairs by a monotone fixed-point map (pq < 1) or a mountain-pass method
 (pq > 1, subcritical) with Newton finishing, and verifies the qualitative
 theory as quantitative checks: boundary behavior u ~ d^s, the
 boundary/interior integral identity whose sign rules out solutions at and

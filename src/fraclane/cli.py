@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(sol)
     sol.add_argument("--p", help="first exponent (accepts fractions like 1/3)")
     sol.add_argument("--q", help="second exponent")
-    sol.add_argument("--init", choices=INITS, help="sublinear regime: start of the descent")
+    sol.add_argument("--init", choices=INITS, help="sublinear regime: start of the fixed-point map")
     sol.add_argument("--second-init", dest="second_init", choices=INITS,
                      help="sublinear regime: run a second solve from this start "
                           "and report the gap")

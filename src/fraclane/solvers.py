@@ -2,10 +2,12 @@
 
 Three layers:
 
-* minimize_sublinear — preconditioned descent on the scalar energy with a
-  smoothing continuation, for pq < 1 where the energy is bounded below and
-  the positive solution is the global minimizer; handed to Newton as soon
-  as a trial Newton run contracts through positive iterates.
+* minimize_sublinear — for pq < 1, the fixed-point map
+  u <- A^{-1}((A^{-1} u_+^q)_+^p), which preserves order (A^{-1} is
+  entrywise nonnegative) and contracts with constant pq in Thompson's
+  metric, so the unique positive solution is its limit from any positive
+  start; handed to Newton as soon as a trial Newton run contracts through
+  positive iterates.
 * mountain_pass — for pq > 1, where 0 is a local minimum and a subcritical
   solution is a saddle: deform a discretized path from 0 to a low-energy
   state until its maximal node is in Newton's basin, tested by the same
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -55,7 +58,6 @@ __all__ = [
 ]
 
 
-GRADIENT_TOL = 1e-10     # descent stationarity target, relative to operator scale
 ARMIJO = 1e-4            # sufficient-decrease constant
 PATH_NODES = 20          # mountain-pass path segments
 MP_SMOOTHING = 1e-6      # smoothing used during path deformation
@@ -74,12 +76,12 @@ class SolverConfig:
     """Knobs for the solver pipelines.  A fixed config (seed included) makes
     every run bitwise deterministic."""
 
-    max_iter: int = 2000                 # descent ceiling across all smoothing stages
+    max_iter: int = 2000                 # ceiling on the sublinear fixed-point steps
     residual_tol: float = 1e-8           # equation-residual acceptance threshold
-    smoothing_schedule: tuple = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
     seed: int = 0
     init: str = "bump"                   # zero | bump | random
     mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
+    smoothing_schedule: ClassVar[tuple] = ()  # not a field; read only by perfbench/spans.py
 
 
 @dataclass(frozen=True)
@@ -323,90 +325,63 @@ class _NewtonHandoff:
         self.op, self.exps, self.cfg, self.trace, self.floor = op, exps, cfg, trace, floor
         self.checkpoint = 5
 
-    def __call__(self, steps: int, u: np.ndarray, phi: float, defect: np.ndarray):
-        """The accepted trial at a checkpoint, else None.  `phi` and the
-        sup-norm of the stationarity `defect` go into the trace entry."""
+    def __call__(self, steps: int, u: np.ndarray, progress: dict):
+        """The accepted trial at a checkpoint, else None.  The caller's
+        `progress` measures go into the trace entry."""
         if steps != self.checkpoint:
             return None
         self.checkpoint *= 2
-        entry = {"stage": "newton_handoff", "iter": steps, "energy": phi,
-                 "stationarity": float(np.max(np.abs(defect)))}
+        entry = {"stage": "newton_handoff", "iter": steps, **progress}
         self.trace.append(entry)
         return _newton_trial(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
                              self.cfg, self.floor, entry)
 
 
 # ---------------------------------------------------------------------------
-# direct minimization (pq < 1)
+# fixed-point iteration (pq < 1)
 
 
 def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
                        cfg: SolverConfig = SolverConfig()) -> SolutionPair:
-    """Direct minimization for pq < 1: Armijo-backtracked preconditioned
-    descent through the smoothing schedule, handed to Newton as soon as a
-    trial Newton run contracts.
+    """The positive solution for pq < 1 by the fixed-point map
+    T(u) = A^{-1}((A^{-1} u_+^q)_+^p), handed to Newton as soon as a trial
+    Newton run contracts.
 
-    The energy is coercive and bounded below in this regime; the minimizer
-    is interior and strictly positive, which is asserted, not enforced.
+    A^{-1} is entrywise nonnegative (the discrete maximum principle), so T
+    preserves order, and T is homogeneous of degree pq < 1; it therefore
+    contracts with constant pq in Thompson's metric max |log(u/w)| on the
+    positive cone (Krasnosel'skii 1964), from any positive start.  A step
+    costs two `op.solve` calls and evaluates no energy.  Each step is a
+    "fixed_point" trace entry with its sup-norm increment and its Thompson
+    distance to the previous iterate (inf off the positive cone).
 
-    Each descent step costs two matvecs and one solve: the loop carries
-    A u, the defect r = A sigma_eps(A u) - (u_+)^q is both the stationarity
-    measure and the gradient w r (the grid weights are uniform), the
-    direction is -A^{-1} r, and Armijo trials use A(u + a d) = A u + a A d.
-
-    After 5, 10, 20, 40, ... descent steps a Newton trial starts from
+    After 5, 10, 20, 40, ... steps a Newton trial starts from
     (u, recover_v(u)) (see `_NewtonHandoff`); a rejected trial lets the
-    descent resume where it was.  `max_iter` is therefore a ceiling: when
-    it runs out, the final polish is the plain capped Newton iteration.
-    An overflowed trial energy fails the Armijo test; a kept one, or a
-    defect that is not finite, raises NonconvergenceError.
+    iteration resume where it was.  The iteration stops once the increment
+    reaches the rounding floor (at once from a zero start, which is a fixed
+    point), and `max_iter` caps the steps; then the plain capped Newton
+    iteration polishes.  Positivity is asserted on the result, not enforced.
     """
     if _regime(op, exps) != "sublinear":
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
     p, q = exps.pf, exps.qf
-    w = op.grid.weights
     u = initial_guess(op.grid, cfg)
     trace = []
-    steps = 0
     handoff = _NewtonHandoff(op, exps, cfg, trace)
-    per_stage = max(1, cfg.max_iter // max(len(cfg.smoothing_schedule), 1))
-    for eps in cfg.smoothing_schedule:
-        stage_tol = max(GRADIENT_TOL * op.scale, 0.02 * eps)
-        au = op.apply(u)  # recomputed per stage to bound the drift of the carried product
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is tested below
-            phi = energy(op, u, exps, eps, au=au).value
-        for _ in range(per_stage):
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = op.apply(smoothed_power(au, eps, p)) - np.maximum(u, 0.0) ** q
-            rel = float(np.max(np.abs(r)))
-            if not (math.isfinite(phi) and math.isfinite(rel)):
-                raise NonconvergenceError(f"energy or defect overflowed float64 at descent step "
-                                          f"{steps} (eps = {eps:g}, (p+1)/p = {(p + 1) / p:g})",
-                                          trace=trace)
-            trial = handoff(steps, u, phi, r)
-            if trial is not None:
-                return _finish(trial, "minimize_sublinear", trace, steps, cfg)
-            if rel <= stage_tol:
-                break
-            g = w * r
-            direction = -op.solve(r)  # A is SPD: a descent direction free of A's stiffness
-            slope = float(np.dot(g, direction))
-            if slope >= 0.0:
-                break  # numerically stationary
-            ad = op.apply(direction)
-            alpha = 1.0
-            for _ in range(60):
-                candidate = u + alpha * direction
-                au_new = au + alpha * ad
-                with np.errstate(over="ignore", invalid="ignore"):  # inf fails the test
-                    phi_new = energy(op, candidate, exps, eps, au=au_new).value
-                if phi_new <= phi + ARMIJO * alpha * slope:
-                    break
-                alpha *= 0.5
-            u, au, phi = candidate, au_new, phi_new
-            steps += 1
-            trace.append({"stage": f"descent_eps={eps:g}", "iter": steps,
-                          "energy": phi, "stationarity": rel})
+    steps = 0
+    while steps < cfg.max_iter:
+        new = op.solve(np.maximum(recover_v(op, u, q), 0.0) ** p)
+        increment = float(np.max(np.abs(new - u)))
+        thompson = (float(np.max(np.abs(np.log(new / u))))
+                    if np.min(u) > 0.0 and np.min(new) > 0.0 else math.inf)
+        u, steps = new, steps + 1
+        trace.append({"stage": "fixed_point", "iter": steps, "increment": increment,
+                      "thompson": thompson})
+        trial = handoff(steps, u, {"increment": increment})
+        if trial is not None:
+            return _finish(trial, "minimize_sublinear", trace, steps, cfg)
+        if increment <= 1e-15 * float(np.max(np.abs(u))):
+            break
     polished = newton_polish(op, u, recover_v(op, u, q), exps, cfg)
     return _finish(polished, "minimize_sublinear", trace, steps, cfg)
 
@@ -503,7 +478,9 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             ridge = path[j].copy()  # the trace below reads it after path[j] moves
             g = energy_gradient(op, ridge, exps, eps, au=a_ridge)
             defect = g / op.grid.weights
-            trial = handoff(sweep, ridge, phi0, defect) if handoff else None
+            trial = (handoff(sweep, ridge, {"energy": phi0,
+                                            "stationarity": float(np.max(np.abs(defect)))})
+                     if handoff else None)
             if trial is not None:
                 return _finish(trial, "mountain_pass", trace, sweeps_run + sweep, cfg)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
@@ -590,7 +567,7 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
 
 def solve_system(op: FractionalOperator, exps: ExponentPair,
                  cfg: SolverConfig = SolverConfig()) -> SolutionPair:
-    """Run the pipeline of the regime: sublinear -> minimization, superlinear
+    """Run the pipeline of the regime: sublinear -> fixed-point map, superlinear
     subcritical -> mountain pass, resonant -> rejected.  In the critical and
     supercritical regimes (where no positive solution exists on star-shaped
     domains) the mountain pass runs as a diagnostic and its nonconvergence

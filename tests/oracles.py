@@ -255,6 +255,61 @@ def fixed_point_solution(op, p: float, q: float, tol: float = 1e-13,
     return u, v
 
 
+def descent_solution(op, p: float, q: float, max_iter: int = 200,
+                     schedule: tuple = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10),
+                     newton_iters: int = 20) -> tuple:
+    """Positive (u, v) for pq < 1 by energy descent, finished by dense Newton.
+
+    The descent is the package's former sublinear solver: from u = 1, through
+    the smoothing schedule eps, steps along -A^-1 r for the stationarity
+    defect r = A sigma_eps(A u) - (u_+)^q, Armijo-backtracked on the
+    eps-smoothed energy, max_iter // len(schedule) steps per stage at most;
+    a stage ends at |r| <= max(1e-10 op.scale, 0.02 eps) or when no trial
+    step decreases the energy.  Undamped Newton steps with the assembled
+    2N x 2N Jacobian (`block_newton_step`) then run until the residual is
+    below 1e-12 op.scale.  Neither stage shares code with the package's
+    fixed-point map or its GMRES Newton.
+    """
+    if p * q >= 1:
+        raise ValueError("descent oracle requires pq < 1")
+    w = op.grid.weights
+
+    def sigma(t, eps):
+        return (t * t + eps * eps) ** ((1.0 - p) / (2.0 * p)) * t
+
+    u = np.ones(op.n_nodes)
+    for eps in schedule:
+        tol = max(1e-10 * op.scale, 0.02 * eps)
+        au = op.apply(u)
+        phi = node_energy(op, u, au, p, q, eps)
+        for _ in range(max_iter // len(schedule)):
+            r = op.apply(sigma(au, eps)) - np.maximum(u, 0.0) ** q
+            if float(np.max(np.abs(r))) <= tol:
+                break
+            direction = -op.solve(r)
+            slope = float(np.dot(w * r, direction))
+            ad = op.apply(direction)
+            alpha = 1.0
+            for _ in range(60):
+                au_new = au + alpha * ad
+                phi_new = node_energy(op, u + alpha * direction, au_new, p, q, eps)
+                if phi_new <= phi + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            u, au, phi = u + alpha * direction, au_new, phi_new
+    v = op.solve(np.maximum(u, 0.0) ** q)
+    for _ in range(newton_iters):
+        residual = max(float(np.max(np.abs(op.apply(u) - np.maximum(v, 0.0) ** p))),
+                       float(np.max(np.abs(op.apply(v) - np.maximum(u, 0.0) ** q))))
+        if residual <= 1e-12 * op.scale:
+            break
+        step = block_newton_step(op, u, v, p, q)
+        u, v = u + step[:op.n_nodes], v + step[op.n_nodes:]
+    return u, v
+
+
 def scalar_branch(op, p: float, power_iters: int = 40, newton_iters: int = 100,
                   tol_factor: float = 1e-11) -> np.ndarray:
     """Positive solution of the single equation A u = u^p for p > 1.

@@ -99,7 +99,7 @@ def test_criterion_05_sublinear_existence_and_uniqueness():
     exps = ExponentPair(0.5, 0.5)
     pair = solve_system(op, exps, SolverConfig(init="bump"))
     other = solve_system(op, exps, SolverConfig(init="random", seed=7))
-    u_ref, _ = oracles.fixed_point_solution(op, 0.5, 0.5)
+    u_ref, _ = oracles.descent_solution(op, 0.5, 0.5)
     init_gap = float(np.max(np.abs(pair.u - other.u)) / np.max(np.abs(pair.u)))
     oracle_gap = float(np.max(np.abs(pair.u - u_ref)) / np.max(np.abs(u_ref)))
     elapsed = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def test_criterion_05_sublinear_existence_and_uniqueness():
     record_criterion(5, ok, f"p=q=0.5, N=256: residuals ({pair.residual_u:.1e},"
                             f"{pair.residual_v:.1e}) <= 1e-6, energy {pair.energy.value:.4f} < 0, "
                             f"min {min(pair.min_u, pair.min_v):.2e} > 0, init gap {init_gap:.1e}, "
-                            f"fixed-point oracle gap {oracle_gap:.1e} (tol 1e-6), "
+                            f"descent oracle gap {oracle_gap:.1e} (tol 1e-6), "
                             f"{elapsed:.1f}s < 60s")
     assert ok
 

@@ -247,8 +247,8 @@ def test_minimize_sublinear_accepted_solution(sublinear_pair_128, op128):
         <= 1e-9 * op128.scale
 
 
-def test_minimize_matches_fixed_point_oracle(sublinear_pair_128, op128):
-    u_ref, v_ref = oracles.fixed_point_solution(op128, 0.5, 0.5)
+def test_minimize_matches_descent_oracle(sublinear_pair_128, op128):
+    u_ref, v_ref = oracles.descent_solution(op128, 0.5, 0.5)
     gap_u = np.max(np.abs(sublinear_pair_128.u - u_ref)) / np.max(u_ref)
     gap_v = np.max(np.abs(sublinear_pair_128.v - v_ref)) / np.max(v_ref)
     assert max(gap_u, gap_v) <= 1e-9
@@ -265,26 +265,45 @@ def _handoffs(pair):
     return [e for e in pair.trace if e["stage"] == "newton_handoff"]
 
 
+def _fixed_point_steps(trace):
+    return [e for e in trace if e["stage"] == "fixed_point"]
+
+
 def test_minimize_hands_off_to_newton_early(sublinear_pair_128):
-    cfg = SolverConfig()
     pair = sublinear_pair_128
-    descent = [e for e in pair.trace if e["stage"].startswith("descent")]
-    assert len(descent) <= 40
-    per_stage = cfg.max_iter // len(cfg.smoothing_schedule)
-    for eps in cfg.smoothing_schedule:
-        assert sum(e["stage"] == f"descent_eps={eps:g}" for e in descent) < per_stage
+    steps = _fixed_point_steps(pair.trace)
+    assert len(steps) <= 5
     handoffs = _handoffs(pair)
-    assert [h["outcome"] for h in handoffs].count("accepted") == 1
-    assert handoffs[-1]["outcome"] == "accepted"
-    assert handoffs[-1]["iter"] == len(descent)
+    assert [(h["iter"], h["outcome"]) for h in handoffs] == [(5, "accepted")]
+    assert handoffs[0]["increment"] == steps[-1]["increment"]
+
+
+@pytest.mark.parametrize("domain, resolution", [
+    (Domain.interval(-1.0, 1.0), 64), (Domain.disk(1.0), 16)])
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.25, 2.0), (0.9, 1.0)])
+@pytest.mark.parametrize("init", ["bump", "random"])
+def test_fixed_point_map_contracts_by_pq_in_thompson_metric(domain, resolution, p, q, init,
+                                                            monkeypatch):
+    # T is order-preserving and homogeneous of degree pq, so successive
+    # Thompson distances shrink by pq at least.  The handoff is switched
+    # off so the map runs until its rounding floor.
+    _no_handoff(monkeypatch)
+    op = assemble(build_grid(domain, resolution), 0.5)
+    pair = minimize_sublinear(op, ExponentPair(p, q), SolverConfig(init=init, max_iter=60))
+    assert pair.accepted
+    distances = [e["thompson"] for e in _fixed_point_steps(pair.trace)][1:]
+    checked = [(prev, d) for prev, d in zip(distances, distances[1:]) if prev > 1e-8]
+    assert len(checked) >= 5
+    assert all(d <= p * q * (1.0 + 1e-6) * prev for prev, d in checked)
 
 
 def test_minimize_2d_asymmetric_random_start_falls_back_then_hands_off():
     # p < 1 < q on a rectangle: early Newton trials from a random start
-    # leave the positive cone and the descent has to resume.
+    # leave the positive cone or stop contracting, and the fixed-point
+    # iteration has to resume.
     grid = build_grid(Domain.rectangle(2.0, 1.0), 16)
     op = assemble(grid, 0.5)
-    exps = ExponentPair(0.25, 2.0)
+    exps = ExponentPair(0.3, 3.0)
     ref = minimize_sublinear(op, exps, SolverConfig(init="bump"))
     assert ref.accepted
     for seed in (0, 1):
@@ -295,12 +314,16 @@ def test_minimize_2d_asymmetric_random_start_falls_back_then_hands_off():
         outcomes = [h["outcome"] for h in _handoffs(pair)]
         assert outcomes[-1] == "accepted"
         assert len(outcomes) >= 2 and "accepted" not in outcomes[:-1]
+        assert {o.split(" at ")[0] for o in outcomes[:-1]} <= {"lost positivity",
+                                                               "no contraction"}
 
 
 def test_minimize_zero_start_is_reported_not_accepted(setup64):
+    # 0 is a fixed point of the map: the zero start stops after one step
     _, op = setup64
-    with pytest.raises(NonconvergenceError):
+    with pytest.raises(NonconvergenceError) as caught:
         minimize_sublinear(op, ExponentPair(0.5, 0.5), SolverConfig(init="zero"))
+    assert len(_fixed_point_steps(caught.value.trace)) <= 1
 
 
 def test_minimize_rejects_wrong_regimes(setup64):
