@@ -9,7 +9,10 @@ self-similar boundary layer whose pointwise error at the k-th node from the
 boundary is resolution-independent (~ k^-(2-2s)), so fixed-depth fits have a
 resolution-independent bias.  The quotient fit therefore includes the layer
 shape as a regressor and widens its window like the square root of the
-resolution, which restores convergence under refinement.
+resolution, which restores convergence under refinement.  All rays with
+at least 4 positive samples are fitted together, with weight 0 on the
+other samples: the quotient by one batched QR, the exponent by the
+closed-form least-squares slope.
 """
 
 from __future__ import annotations
@@ -69,16 +72,23 @@ def _ray_samples(grid: Grid, u: np.ndarray, k_lo: int, k_hi: int) -> tuple:
     return tr, dist, interpolate(grid, u, pts)
 
 
-def _fit_rays(grid: Grid, u: np.ndarray, window: tuple, fit) -> BoundaryFit:
-    """`fit(d, values)` on the positive samples of each ray that has at least
-    4 of them; the other rays are not ok and hold NaN."""
+def _positive_rays(grid: Grid, u: np.ndarray, window: tuple) -> tuple:
+    """Ray samples over the window, split for the masked fits.  Returns
+    (trace, d, ok, w, logs): `ok` flags the rays with at least 4 positive
+    samples, and for those rays only, `w` is the (B_ok, K) 0/1 weight of the
+    positive samples and `logs` their logarithms (0 where the weight is 0).
+    """
     tr, dist, samples = _ray_samples(grid, u, *window)
     usable = samples > 0
     ok = np.sum(usable, axis=1) >= 4
-    values = np.full(len(tr.weights), np.nan)
-    for b in np.flatnonzero(ok):
-        values[b] = fit(dist[usable[b]], samples[b, usable[b]])
-    return BoundaryFit(values, ok, tr, window)
+    positive = usable[ok]
+    return tr, dist, ok, positive.astype(float), np.log(np.where(positive, samples[ok], 1.0))
+
+
+def _on_ok_rays(ok: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    values = np.full(len(ok), np.nan)
+    values[ok] = fitted
+    return values
 
 
 @dataclass(frozen=True)
@@ -109,32 +119,39 @@ def boundary_quotient(u: np.ndarray, grid: Grid, s: float) -> BoundaryFit:
     Least squares of log u - s log d on {1, d, (d/h)^-(2-2s)} over ray
     samples k in [2, max(12, 1.2*sqrt(resolution))]: the constant is log c,
     the linear term absorbs the smooth interior profile, and the power term
-    absorbs the scheme's self-similar boundary layer.
+    absorbs the scheme's self-similar boundary layer.  Every ray with at
+    least 4 positive samples is fitted at once, by one batched QR of the
+    (B, K, 3) designs whose other samples have weight 0.
     """
     s = float(s)
     if np.any(u < 0):
         raise ConfigurationError("boundary_quotient expects a nonnegative function")
-    h_ray = min(grid.h)
-
-    def fit(d, vals):
-        y = np.log(vals) - s * np.log(d)
-        design = np.stack([np.ones(len(d)), d, (d / h_ray) ** (-(2.0 - 2.0 * s))], axis=1)
-        return np.exp(np.linalg.lstsq(design, y, rcond=None)[0][0])
-
-    return _fit_rays(grid, u, _quotient_window(grid.resolution), fit)
+    window = _quotient_window(grid.resolution)
+    tr, dist, ok, w, logu = _positive_rays(grid, u, window)
+    design = np.stack([np.ones(len(dist)), dist, (dist / min(grid.h)) ** (-(2.0 - 2.0 * s))], axis=1)
+    q, r = np.linalg.qr(w[:, :, None] * design)
+    qty = np.einsum("bkj,bk->bj", q, w * (logu - s * np.log(dist)))
+    coef = np.linalg.solve(r, qty[:, :, None])[:, 0, 0]
+    return BoundaryFit(_on_ok_rays(ok, np.exp(coef)), ok, tr, window)
 
 
 def boundary_exponent_fit(u: np.ndarray, grid: Grid) -> BoundaryFit:
     """Log-log slope of u against boundary distance along each inward
     normal, over ray samples k in [k0, 2*k0] with k0 = max(3,
     0.4*sqrt(resolution)).  For solutions of the coupled system the slope
-    approaches the fractional order s."""
+    approaches the fractional order s.  Every ray with at least 4 positive
+    samples gets the closed-form least-squares slope over those samples."""
     if np.any(u < 0):
         raise ConfigurationError("boundary_exponent_fit expects a nonnegative function")
     if not np.any(u > 0):
         raise ConfigurationError("boundary_exponent_fit expects a nonzero function")
-    return _fit_rays(grid, u, _exponent_window(grid.resolution),
-                     lambda d, vals: np.polyfit(np.log(d), np.log(vals), 1)[0])
+    window = _exponent_window(grid.resolution)
+    tr, dist, ok, w, logu = _positive_rays(grid, u, window)
+    n = np.sum(w, axis=1, keepdims=True)
+    x = np.log(dist) - np.sum(w * np.log(dist), axis=1, keepdims=True) / n
+    y = logu - np.sum(w * logu, axis=1, keepdims=True) / n
+    slope = np.sum(w * x * y, axis=1) / np.sum(w * x * x, axis=1)
+    return BoundaryFit(_on_ok_rays(ok, slope), ok, tr, window)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Configuration is a JSON file (--config) whose keys match the long option
 names; explicit command-line flags override file values, and a key that no
 option names is a configuration error.  Every record is
 self-describing: re-running `solve` from a record's input echo reproduces
-the numerics bitwise.
+the numerics bitwise at the same BLAS thread count.
 
 Exit codes: 0 success, 2 solver nonconvergence or failed audit, 3 resonant
 exponents (p*q = 1), 4 configuration error (a usage error or a malformed value

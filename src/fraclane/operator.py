@@ -21,6 +21,11 @@ maximum principle used throughout.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, get_lapack_funcs
@@ -35,6 +40,34 @@ __all__ = [
     "FractionalOperator",
     "assemble",
 ]
+
+
+def _single_threaded_numpy_blas() -> None:
+    """Run NumPy's own OpenBLAS on one thread; SciPy's keeps its own count.
+
+    NumPy and SciPy wheels each load an OpenBLAS with its own thread pool.
+    After a NumPy gemv (`apply`, GMRES) the NumPy pool's workers keep
+    spinning, and a threaded SciPy Cholesky (`potrf`/`potrs`) then runs
+    against them for the cores (README, "Threads").  NumPy's gemv is
+    bitwise the same at 1 and 2 threads up to N = 2048, so one thread
+    changes no result.  Does nothing unless NumPy's BLAS is the
+    scipy-openblas64 library of a Linux wheel (not MKL, Accelerate or a
+    system OpenBLAS).
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:  # RTLD_NOLOAD: only the copy NumPy already loaded
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+_single_threaded_numpy_blas()
 
 
 def _check_order(s) -> float:

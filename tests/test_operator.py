@@ -1,6 +1,7 @@
 """Operator layer: normalization constants, assembly structure, consistency
 against closed-form solutions, and the Green-function probe."""
 
+import json
 import os
 import subprocess
 import sys
@@ -137,6 +138,45 @@ def test_import_and_planar_assembly_load_no_adaptive_quadrature():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+_POOLS = """
+import ctypes, json, os
+from pathlib import Path
+import numpy, scipy.linalg
+
+def pool(package, pattern, symbol):
+    # the thread count of the package's bundled OpenBLAS, if it is loaded
+    for path in (Path(package.__file__).parent.parent / (package.__name__ + ".libs")).glob(pattern):
+        try:
+            return getattr(ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD), symbol)()
+        except (OSError, AttributeError):
+            pass
+    return None
+
+def pools():
+    return [pool(numpy, "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+            pool(scipy, "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")]
+
+before = pools()
+import fraclane
+print(json.dumps([before, pools()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="wheel OpenBLAS layout is Linux's")
+def test_import_runs_numpy_blas_on_one_thread_and_leaves_scipy_blas_alone():
+    src = Path(fraclane.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", _POOLS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout)
+    if None in before:
+        pytest.skip("NumPy's or SciPy's BLAS is not the bundled scipy-openblas library")
+    if before != [2, 2]:
+        pytest.skip(f"OpenBLAS caps the pools at the CPU count: {before}")
+    assert after == [1, 2]
 
 
 @pytest.mark.parametrize("domain, resolution", [
