@@ -290,12 +290,12 @@ class BoundaryTrace:
     corners_dropped: bool
 
 
-def boundary_trace(grid: Grid, samples: int | None = None) -> BoundaryTrace:
+def boundary_trace(grid: Grid) -> BoundaryTrace:
     """Exact boundary parametrization with per-point outward normals.
 
     Interval: the two endpoints, each carrying unit weight.  Rectangle: each
     side sampled at the transverse cell centers (corners never appear).
-    Disk: `samples` equal arcs (default max(256, 4*resolution)).
+    Disk: max(256, 4*resolution) equal arcs.
     """
     dom = grid.domain
     if dom.kind == "interval":
@@ -320,7 +320,7 @@ def boundary_trace(grid: Grid, samples: int | None = None) -> BoundaryTrace:
         nrm = np.concatenate(nrm_list)
         wts = np.concatenate(wts_list)
     else:
-        m = samples if samples is not None else max(256, 4 * grid.resolution)
+        m = max(256, 4 * grid.resolution)
         th = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
         nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
         pts = np.asarray(dom.center) + dom.radius * nrm

@@ -105,7 +105,6 @@ class EnergyReport:
     kinetic: float
     potential: float
     e_norm: float
-    smoothing: float
 
 
 def smoothed_density(t: np.ndarray, eps: float, p: float) -> np.ndarray:
@@ -154,7 +153,7 @@ def energy(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
     the matvec."""
     raw_kin, kinetic, potential = map(float, _energy_terms(op, u, exps, smoothing, au))
     e_norm = raw_kin ** (exps.pf / (exps.pf + 1.0)) if raw_kin > 0 else 0.0
-    return EnergyReport(kinetic - potential, kinetic, potential, e_norm, smoothing)
+    return EnergyReport(kinetic - potential, kinetic, potential, e_norm)
 
 
 def energy_value(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,

@@ -151,19 +151,28 @@ def _ktotal_2d(h1: float, h2: float, s: float) -> float:
 
 def _second_moments(dim: int, h: tuple, s: float) -> tuple:
     """Per-axis integrals of y_a^2 |y|^(-n-2s) over the central cell, used by
-    the optional singular-cell correction."""
+    the optional singular-cell correction.
+
+    In 2D the integrand is singular at the origin, so it is integrated in
+    polar form: the radial part to the cell boundary R(t) is exact,
+    R^(2-2s)/(2-2s), and the angle is summed by Gauss-Legendre on each side
+    of the corner angle, where R(t) = h1/(2 cos t), resp. h2/(2 sin t), is
+    smooth.
+    """
     if dim == 1:
         (h1,) = h
         return (2.0 * (h1 / 2.0) ** (2 - 2 * s) / (2 - 2 * s),)
     h1, h2 = h
-    gx, gw = leggauss(24)
-    xs = 0.25 * h1 * (gx + 1.0)  # quarter cell [0, h1/2]
-    ys = 0.25 * h2 * (gx + 1.0)
-    wts = (0.25 * h1 * gw)[:, None] * (0.25 * h2 * gw)[None, :]
-    r2 = xs[:, None] ** 2 + ys[None, :] ** 2
-    kern = r2 ** (-1.0 - s)
-    cx = 4.0 * float(np.sum(wts * xs[:, None] ** 2 * kern))
-    cy = 4.0 * float(np.sum(wts * ys[None, :] ** 2 * kern))
+    gx, gw = leggauss(48)
+    corner = np.arctan2(h2, h1)
+    cx = cy = 0.0
+    for lo, hi, half_side, trig in ((0.0, corner, 0.5 * h1, np.cos),
+                                    (corner, np.pi / 2, 0.5 * h2, np.sin)):
+        th = 0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
+        radius = half_side / trig(th)
+        radial = 0.5 * (hi - lo) * gw * radius ** (2 - 2 * s) / (2 - 2 * s)
+        cx += 4.0 * float(np.sum(radial * np.cos(th) ** 2))  # four congruent quadrants
+        cy += 4.0 * float(np.sum(radial * np.sin(th) ** 2))
     return cx, cy
 
 

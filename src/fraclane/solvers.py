@@ -86,20 +86,30 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolutionPair:
-    """A computed (u, v) candidate with its acceptance diagnostics."""
+    """A computed (u, v) candidate with its diagnostics; `accepted`, converged
+    to a strictly positive pair, is the one acceptance rule."""
 
     u: np.ndarray
     v: np.ndarray
     residual_u: float
     residual_v: float
     energy: EnergyReport
-    min_u: float
-    min_v: float
-    converged: bool
     method: str
     iterations: int
     trace: list = field(default_factory=list, repr=False)
-    message: str = ""
+    message: str = ""  # why the run stopped short; empty when it converged
+
+    @property
+    def converged(self) -> bool:
+        return not self.message
+
+    @property
+    def min_u(self) -> float:
+        return float(np.min(self.u))
+
+    @property
+    def min_v(self) -> float:
+        return float(np.min(self.v))
 
     @property
     def accepted(self) -> bool:
@@ -282,59 +292,44 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
         u += scale * step_u
         v += scale * step_v
     return SolutionPair(u, v, ru, rv, energy(op, u, exps, smoothing=0.0, au=au),
-                        float(np.min(u)), float(np.min(v)), not message, "newton_polish",
-                        it, trace, message)
+                        "newton_polish", it, trace, message)
 
 
 def _collapsed(pair: SolutionPair, floor: float) -> bool:
-    """True unless `pair` converged to a strictly positive state with sup|u| above `floor`."""
-    return (not pair.converged or float(np.max(np.abs(pair.u))) <= floor
-            or pair.min_u <= 0.0 or pair.min_v <= 0.0)
+    """True unless `pair` is accepted with sup|u| above `floor`."""
+    return not pair.accepted or float(np.max(np.abs(pair.u))) <= floor
 
 
 def _newton_trial(op: FractionalOperator, u: np.ndarray, v: np.ndarray, exps: ExponentPair,
                   cfg: SolverConfig, floor: float, entry: dict) -> SolutionPair | None:
-    """A monotone Newton run from (u, v) if it converges, passes the collapse
-    test against `floor` and passes `_accept_or_raise`, else None.  The
+    """A monotone Newton run from (u, v) unless it collapses against `floor`,
+    else None.  A converged run stops at a tolerance of at most
+    `cfg.residual_tol`, so a trial that does not collapse is accepted.  The
     trace `entry` gets its "outcome" ("accepted" or the reason for
     rejection) and its Newton and GMRES iteration counts ("newton_iters",
     "krylov")."""
     trial = newton_polish(op, u, v, exps, cfg, _monotone=True)
-    outcome = trial.message or "collapsed to a vanishing or non-positive state"
-    if not _collapsed(trial, floor):
-        try:
-            _accept_or_raise(trial, cfg)
-            outcome = "accepted"
-        except NonconvergenceError as exc:
-            outcome = str(exc)
+    collapsed = _collapsed(trial, floor)
+    outcome = ((trial.message or "collapsed to a vanishing or non-positive state")
+               if collapsed else "accepted")
     entry.update(outcome=outcome, newton_iters=trial.iterations,
                  krylov=sum(e["krylov"] for e in trial.trace))
-    return trial if outcome == "accepted" else None
+    return None if collapsed else trial
 
 
-class _NewtonHandoff:
-    """Monotone Newton trials after 5, 10, 20, 40, ... steps of a solver loop.
+def _checkpoint(steps: int) -> bool:
+    """True after 5, 10, 20, 40, ... steps of a solver loop: 5 * 2^k."""
+    return steps >= 5 and steps % 5 == 0 and (steps // 5) & (steps // 5 - 1) == 0
 
-    A trial from (u, recover_v(u)) works on copies of the caller's state
-    and is judged by `_newton_trial` against `floor`; each trial is a
-    "newton_handoff" trace entry.
-    """
 
-    def __init__(self, op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig,
-                 trace: list, floor: float = 0.0):
-        self.op, self.exps, self.cfg, self.trace, self.floor = op, exps, cfg, trace, floor
-        self.checkpoint = 5
-
-    def __call__(self, steps: int, u: np.ndarray, progress: dict):
-        """The accepted trial at a checkpoint, else None.  The caller's
-        `progress` measures go into the trace entry."""
-        if steps != self.checkpoint:
-            return None
-        self.checkpoint *= 2
-        entry = {"stage": "newton_handoff", "iter": steps, **progress}
-        self.trace.append(entry)
-        return _newton_trial(self.op, u, recover_v(self.op, u, self.exps.qf), self.exps,
-                             self.cfg, self.floor, entry)
+def _handoff(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig, trace: list,
+             steps: int, u: np.ndarray, progress: dict, floor: float = 0.0):
+    """The `_newton_trial` from copies of (u, recover_v(u)) after `steps` steps
+    of a solver loop, at a `_checkpoint`: the accepted pair, else None.  It
+    is a "newton_handoff" trace entry with the caller's `progress` measures."""
+    entry = {"stage": "newton_handoff", "iter": steps, **progress}
+    trace.append(entry)
+    return _newton_trial(op, u, recover_v(op, u, exps.qf), exps, cfg, floor, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +350,8 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     "fixed_point" trace entry with its sup-norm increment and its Thompson
     distance to the previous iterate (inf off the positive cone).
 
-    After 5, 10, 20, 40, ... steps a Newton trial starts from
-    (u, recover_v(u)) (see `_NewtonHandoff`); a rejected trial lets the
+    After 5, 10, 20, 40, ... steps (`_checkpoint`) a Newton trial starts
+    from (u, recover_v(u)) (see `_handoff`); a rejected trial lets the
     iteration resume where it was.  The iteration stops once the increment
     reaches the rounding floor (at once from a zero start, which is a fixed
     point), and `max_iter` caps the steps; then the plain capped Newton
@@ -367,7 +362,6 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     p, q = exps.pf, exps.qf
     u = initial_guess(op.grid, cfg)
     trace = []
-    handoff = _NewtonHandoff(op, exps, cfg, trace)
     steps = 0
     while steps < cfg.max_iter:
         new = op.solve(np.maximum(recover_v(op, u, q), 0.0) ** p)
@@ -377,22 +371,30 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
         u, steps = new, steps + 1
         trace.append({"stage": "fixed_point", "iter": steps, "increment": increment,
                       "thompson": thompson})
-        trial = handoff(steps, u, {"increment": increment})
-        if trial is not None:
-            return _finish(trial, "minimize_sublinear", trace, steps, cfg)
+        if _checkpoint(steps):
+            trial = _handoff(op, exps, cfg, trace, steps, u, {"increment": increment})
+            if trial is not None:
+                return _finish(trial, "minimize_sublinear", trace, steps)
         if increment <= 1e-15 * float(np.max(np.abs(u))):
             break
     polished = newton_polish(op, u, recover_v(op, u, q), exps, cfg)
-    return _finish(polished, "minimize_sublinear", trace, steps, cfg)
+    return _finish(polished, "minimize_sublinear", trace, steps)
 
 
-def _finish(polished: SolutionPair, method: str, trace: list, steps: int,
-            cfg: SolverConfig) -> SolutionPair:
-    """The solver's result from its Newton polish, after `steps` outer steps."""
+def _finish(polished: SolutionPair, method: str, trace: list, steps: int) -> SolutionPair:
+    """The solver's result from its Newton polish, after `steps` outer steps;
+    NonconvergenceError unless it is accepted."""
     result = replace(polished, method=method, trace=trace + polished.trace,
                      iterations=steps + polished.iterations)
-    _accept_or_raise(result, cfg)
-    return result
+    if result.accepted:
+        return result
+    if not result.converged:
+        reason = (f"solver finished without meeting the residual tolerance (residuals "
+                  f"{result.residual_u:.3e}, {result.residual_v:.3e}): {result.message}")
+    else:
+        reason = (f"converged to a non-positive pair (min u = {result.min_u:.3e}, "
+                  f"min v = {result.min_v:.3e}); no positive solution found from this start")
+    raise NonconvergenceError(reason, trace=result.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +445,11 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     of a node-by-node loop, so the path is the same bit for bit.
 
     In the subcritical regime the path only has to reach the saddle's Newton
-    basin: after 5, 10, 20, ... sweeps of each attempt a `_NewtonHandoff`
-    trial starts from the ridge node, so `mp_sweeps` is a ceiling.  When the
-    budget runs out, the ridge node seeds a Newton polish; a polish that
-    collapses to zero or to a non-positive pair triggers a restart with t
-    and the budget doubled.
+    basin: after 5, 10, 20, ... sweeps of each attempt (`_checkpoint`) a
+    `_handoff` trial starts from the ridge node, so `mp_sweeps` is a
+    ceiling.  When the budget runs out, the ridge node seeds a Newton
+    polish; a polish that collapses to zero or to a non-positive pair
+    triggers a restart with t and the budget doubled.
 
     In the critical and supercritical regimes the run is a diagnostic
     (expected outcome: nonconvergence) and makes no trials, so an early
@@ -460,7 +462,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     bump = initial_guess(op.grid, replace(cfg, init="bump"))
     t = 1.0
     doublings = 0
-    while energy(op, t * bump, exps, eps).value >= 0.0:
+    while energy_value(op, t * bump, exps, eps) >= 0.0:
         t *= 2.0
         doublings += 1
         if doublings > 60:
@@ -470,19 +472,18 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     sweeps_run = 0
     m = PATH_NODES
     for restart in range(MAX_RESTARTS + 1):
-        handoff = (_NewtonHandoff(op, exps, cfg, trace, floor=1e-6 * t)
-                   if regime == "superlinear_subcritical" else None)
         path = (np.arange(m + 1) / m * t)[:, None] * bump
         for sweep in range(sweeps_budget):
             j, phi0, a_ridge = _path_max(op, path, exps, eps)
             ridge = path[j].copy()  # the trace below reads it after path[j] moves
             g = energy_gradient(op, ridge, exps, eps, au=a_ridge)
             defect = g / op.grid.weights
-            trial = (handoff(sweep, ridge, {"energy": phi0,
-                                            "stationarity": float(np.max(np.abs(defect)))})
-                     if handoff else None)
-            if trial is not None:
-                return _finish(trial, "mountain_pass", trace, sweeps_run + sweep, cfg)
+            if regime == "superlinear_subcritical" and _checkpoint(sweep):
+                trial = _handoff(op, exps, cfg, trace, sweep, ridge,
+                                 {"energy": phi0, "stationarity": float(np.max(np.abs(defect)))},
+                                 floor=1e-6 * t)
+                if trial is not None:
+                    return _finish(trial, "mountain_pass", trace, sweeps_run + sweep)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
             direction = -op.solve(defect)
             cap = MP_STEP_FRACTION * max(float(np.max(np.abs(ridge))), 1e-3 * t)
@@ -505,7 +506,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
         polished = newton_polish(op, ridge, v0, exps, cfg)
         if not _collapsed(polished, 1e-6 * t):
-            return _finish(polished, "mountain_pass", trace, sweeps_run, cfg)
+            return _finish(polished, "mountain_pass", trace, sweeps_run)
         t *= 2.0
         sweeps_budget *= 2
         trace.append({"stage": f"mountain_pass_restart{restart}", "iter": -1,
@@ -515,27 +516,6 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         f"(last polish: {polished.message or 'collapsed to a non-positive state'})",
         trace=trace,
     )
-
-
-def _accept_or_raise(pair: SolutionPair, cfg: SolverConfig) -> None:
-    if not pair.converged:
-        raise NonconvergenceError(
-            f"solver finished without meeting the residual tolerance "
-            f"(residuals {pair.residual_u:.3e}, {pair.residual_v:.3e}): {pair.message}",
-            trace=pair.trace,
-        )
-    if max(pair.residual_u, pair.residual_v) > cfg.residual_tol:
-        raise NonconvergenceError(
-            f"residuals {pair.residual_u:.3e}, {pair.residual_v:.3e} exceed "
-            f"the acceptance tolerance {cfg.residual_tol:.1e}",
-            trace=pair.trace,
-        )
-    if not (pair.min_u > 0.0 and pair.min_v > 0.0):
-        raise NonconvergenceError(
-            f"converged to a non-positive pair (min u = {pair.min_u:.3e}, "
-            f"min v = {pair.min_v:.3e}); no positive solution found from this start",
-            trace=pair.trace,
-        )
 
 
 def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig) -> tuple:
@@ -562,7 +542,7 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
     trial = _newton_trial(op, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
     if trial is None:
         return None, entry
-    return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations, cfg), entry
+    return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations), entry
 
 
 def solve_system(op: FractionalOperator, exps: ExponentPair,

@@ -126,6 +126,17 @@ def second_difference(u: np.ndarray, h: float) -> np.ndarray:
     return (2.0 * padded[1:-1] - padded[:-2] - padded[2:]) / h ** 2
 
 
+def second_difference_2d(u: np.ndarray, grid) -> np.ndarray:
+    """Classical negative 5-point Laplacian on a planar grid, with zero values
+    at the lattice nodes outside the domain."""
+    full = np.zeros((grid.resolution + 2,) * 2)
+    full[tuple(grid.lattice.T + 1)] = u
+    inner = full[1:-1, 1:-1]
+    out = ((2.0 * inner - full[:-2, 1:-1] - full[2:, 1:-1]) / grid.h[0] ** 2
+           + (2.0 * inner - full[1:-1, :-2] - full[1:-1, 2:]) / grid.h[1] ** 2)
+    return out[tuple(grid.lattice.T)]
+
+
 # ---------------------------------------------------------------------------
 # operator assembly by offset arrays and per-cell loops (reference for the
 # offset-table gather)
@@ -185,6 +196,22 @@ def ktotal_2d_by_gauss(h1: float, h2: float, s: float) -> float:
         radius = np.array([_central_cell_radius(t, h1, h2) for t in th])
         total += 0.5 * (hi - lo) * float(np.sum(gw * radius ** (-2 * s))) / (2 * s)
     return 4.0 * total
+
+
+def second_moments_by_quad(h1: float, h2: float, s: float) -> tuple:
+    """Integrals of y1^2 |y|^(-2-2s) and y2^2 |y|^(-2-2s) over the central
+    h1 x h2 cell by adaptive quadrature of the polar form
+    4 int_0^(pi/2) (cos t, sin t)^2 R(t)^(2-2s)/(2-2s) dt, split at the
+    cell's corner angle."""
+    corner = np.arctan2(h2, h1)
+    moments = []
+    for trig in (np.cos, np.sin):
+        def f(th):
+            return trig(th) ** 2 * _central_cell_radius(th, h1, h2) ** (2 - 2 * s) / (2 - 2 * s)
+        a, _ = quad(f, 0.0, corner, limit=200, epsabs=0.0, epsrel=1e-13)
+        b, _ = quad(f, corner, np.pi / 2, limit=200, epsabs=0.0, epsrel=1e-13)
+        moments.append(4.0 * (a + b))
+    return tuple(moments)
 
 
 def add_singular_correction_by_node(matrix: np.ndarray, grid, s: float, c: float) -> None:

@@ -24,7 +24,7 @@ from fraclane import (
     build_grid,
     normalization_constant,
 )
-from fraclane.operator import _ktotal_2d
+from fraclane.operator import _ktotal_2d, _second_moments
 from fraclane.solvers import _regime
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,17 @@ def test_central_cell_mass_matches_quadrature(s, aspect):
         closed = _ktotal_2d(h1, h2, s)
         assert closed == pytest.approx(oracles.ktotal_2d_by_quad(h1, h2, s), rel=1e-12)
         assert closed == pytest.approx(oracles.ktotal_2d_by_gauss(h1, h2, s), rel=1e-14)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 3.3, 20.0])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_central_cell_second_moments_match_quadrature(s, aspect):
+    # the integrand is singular at the cell center; a tensor rule over the
+    # cell missed up to 93% of the moment as s -> 1
+    for h1, h2 in ((0.05, 0.05 * aspect), (0.05 * aspect, 0.05)):
+        got = _second_moments(2, (h1, h2), s)
+        want = oracles.second_moments_by_quad(h1, h2, s)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_import_and_planar_assembly_load_no_adaptive_quadrature():
@@ -360,6 +371,16 @@ def test_singular_correction_improves_local_limit():
         op = assemble(grid, 0.9, singular_correction=corrected)
         errs[corrected] = np.linalg.norm(op.apply(bump) - lap) / np.linalg.norm(lap)
     assert errs[True] < errs[False]
+
+
+def test_planar_singular_correction_matches_the_classical_limit():
+    # the 2D counterpart of acceptance criterion 3: near s = 1 the corrected
+    # operator on a C^2 bump is close to the 5-point second difference
+    grid = build_grid(Domain.rectangle(2.0, 2.0), 64)
+    bump = np.maximum(1.0 - 4.0 * np.sum(grid.x ** 2, axis=1), 0.0) ** 3
+    lap = oracles.second_difference_2d(bump, grid)
+    op = assemble(grid, 0.99, singular_correction=True)
+    assert np.linalg.norm(op.apply(bump) - lap) / np.linalg.norm(lap) <= 0.05
 
 
 @pytest.mark.parametrize("domain, resolution", [

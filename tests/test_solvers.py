@@ -217,6 +217,30 @@ class _ApplySolveOnly:
             op.scale, op.grid, op.n_nodes, op.n, op.s)
 
 
+@pytest.mark.parametrize("residual_tol", [1e-13, 1e-11, 1e-4])
+def test_converged_newton_runs_are_within_the_residual_tolerance(setup64, residual_tol):
+    # A converged run, plain or monotone, stops at a tolerance of at most
+    # residual_tol: the trials accept a pair that does not collapse without
+    # checking its residuals again.  1e-13 lies below the rounding floor
+    # 1e-11 max(1, |A u|, |A v|), where only the cap at residual_tol holds.
+    grid, op = setup64
+    cfg = SolverConfig(residual_tol=residual_tol)
+    rng = np.random.default_rng(5)
+    sub_u, sub_v = oracles.fixed_point_solution(op, 0.5, 0.5)
+    starts = [(op, sub_u, sub_v, ExponentPair(0.5, 0.5)),
+              (*_perturbed_superlinear_start(64), ExponentPair(2.0, 2.0))]
+    for _ in range(3):
+        noise = 1.0 + 5e-2 * rng.standard_normal(grid.n_nodes)
+        starts.append((op, sub_u * noise, sub_v * noise[::-1], ExponentPair(0.5, 0.5)))
+    for monotone in (False, True):
+        pairs = [newton_polish(o, u, v, exps, cfg, _monotone=monotone)
+                 for o, u, v, exps in starts]
+        converged = [pair for pair in pairs if pair.converged]
+        assert converged
+        for pair in converged:
+            assert max(pair.residual_u, pair.residual_v) <= residual_tol
+
+
 def test_newton_polish_needs_only_apply_and_solve(setup64):
     _, op = setup64
     duck = _ApplySolveOnly(op)
@@ -427,7 +451,7 @@ def _count_calls(op, monkeypatch):
 
 def _no_handoff(monkeypatch):
     """Make every Newton handoff trial a rejection that computes nothing."""
-    monkeypatch.setattr(fraclane.solvers._NewtonHandoff, "__call__", lambda self, *args: None)
+    monkeypatch.setattr(fraclane.solvers, "_handoff", lambda *args, **kwargs: None)
 
 
 def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
@@ -472,6 +496,11 @@ def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     assert calls["apply"] == 1108 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
 
 
+def test_checkpoints_are_five_times_powers_of_two():
+    fired = [steps for steps in range(2001) if fraclane.solvers._checkpoint(steps)]
+    assert fired == [5, 10, 20, 40, 80, 160, 320, 640, 1280]
+
+
 def test_mountain_pass_hands_off_to_newton_early(monkeypatch):
     cfg = SolverConfig()
     cases = ((Domain.interval(-1.0, 1.0), 64, ExponentPair(2.0, 4.0)),
@@ -495,13 +524,13 @@ def test_rejected_handoff_trial_leaves_the_path_untouched(setup64, monkeypatch):
     # trials (after 5, 10 and 20 sweeps) converge and are overridden.
     _, op = setup64
     exps, cfg = ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40)
-    real = fraclane.solvers._NewtonHandoff.__call__
+    real = fraclane.solvers._handoff
 
-    def run_then_reject(self, *args):
-        real(self, *args)
+    def run_then_reject(*args, **kwargs):
+        real(*args, **kwargs)
         return None
 
-    monkeypatch.setattr(fraclane.solvers._NewtonHandoff, "__call__", run_then_reject)
+    monkeypatch.setattr(fraclane.solvers, "_handoff", run_then_reject)
     tried = mountain_pass(op, exps, cfg)
     _no_handoff(monkeypatch)
     untried = mountain_pass(op, exps, cfg)
