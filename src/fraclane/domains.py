@@ -7,11 +7,15 @@ one value per interior node, implicitly zero everywhere outside the domain.
 All geometric quantities that analysis is sensitive to (boundary distance,
 boundary parametrization) are computed from the exact domain geometry, never
 from the lattice.
+
+Intervals and rectangles are axis-aligned boxes in 1D and 2D: one box path
+gives their geometry and boundary trace; only the disk has its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +39,9 @@ class Domain:
     center: center point (2 coordinates, default the origin; the interval
         center is derived from its endpoints and must not be supplied).
     Supplying a key of another kind is a ConfigurationError.
+
+    bounding_box: ((lo, hi) per axis), derived; an interval or a rectangle
+    is this box, and its geometry is read from it.
     """
 
     kind: str
@@ -42,6 +49,7 @@ class Domain:
     sides: tuple | None = None
     radius: float | None = None
     center: tuple | None = None
+    bounding_box: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KEYS:
@@ -58,25 +66,26 @@ class Domain:
                 raise ConfigurationError("interval endpoints must satisfy a < b")
             object.__setattr__(self, "endpoints", (a, b))
             object.__setattr__(self, "center", ((a + b) / 2.0,))
-        elif self.kind == "rectangle":
+            object.__setattr__(self, "bounding_box", ((a, b),))
+            return
+        if self.kind == "rectangle":
             if self.sides is None or len(self.sides) != 2:
                 raise ConfigurationError("rectangle needs sides=(lx, ly)")
             lx, ly = map(float, self.sides)
             if lx <= 0 or ly <= 0:
                 raise ConfigurationError("rectangle sides must be positive")
-            c = tuple(map(float, self.center)) if self.center else (0.0, 0.0)
-            if len(c) != 2:
-                raise ConfigurationError("rectangle center needs 2 coordinates")
             object.__setattr__(self, "sides", (lx, ly))
-            object.__setattr__(self, "center", c)
+            half = (lx / 2, ly / 2)
         else:
             if self.radius is None or float(self.radius) <= 0:
                 raise ConfigurationError("disk needs a positive radius")
-            c = tuple(map(float, self.center)) if self.center else (0.0, 0.0)
-            if len(c) != 2:
-                raise ConfigurationError("disk center needs 2 coordinates")
             object.__setattr__(self, "radius", float(self.radius))
-            object.__setattr__(self, "center", c)
+            half = (self.radius, self.radius)
+        c = tuple(map(float, self.center)) if self.center else (0.0, 0.0)
+        if len(c) != 2:
+            raise ConfigurationError(f"{self.kind} center needs 2 coordinates")
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "bounding_box", tuple((x - w, x + w) for x, w in zip(c, half)))
 
     # -- constructors ------------------------------------------------------
 
@@ -96,35 +105,22 @@ class Domain:
 
     @property
     def dim(self) -> int:
-        return 1 if self.kind == "interval" else 2
-
-    @property
-    def bounding_box(self) -> tuple:
-        """((lo, hi) per axis)."""
-        if self.kind == "interval":
-            return (self.endpoints,)
-        if self.kind == "rectangle":
-            (cx, cy), (lx, ly) = self.center, self.sides
-            return ((cx - lx / 2, cx + lx / 2), (cy - ly / 2, cy + ly / 2))
-        (cx, cy), r = self.center, self.radius
-        return ((cx - r, cx + r), (cy - r, cy + r))
+        return len(self.bounding_box)
 
     @property
     def volume(self) -> float:
-        if self.kind == "interval":
-            a, b = self.endpoints
-            return b - a
-        if self.kind == "rectangle":
-            return self.sides[0] * self.sides[1]
-        return np.pi * self.radius**2
+        if self.kind == "disk":
+            return np.pi * self.radius**2
+        return math.prod(hi - lo for lo, hi in self.bounding_box)
 
     @property
     def perimeter(self) -> float:
-        if self.kind == "interval":
-            return 2.0  # two endpoint "faces", each of measure 1
-        if self.kind == "rectangle":
-            return 2.0 * (self.sides[0] + self.sides[1])
-        return 2.0 * np.pi * self.radius
+        """Boundary measure; a box face measures the product of the other
+        axes' lengths, so an interval's two endpoints measure 1 each."""
+        if self.kind == "disk":
+            return 2.0 * np.pi * self.radius
+        lengths = [hi - lo for lo, hi in self.bounding_box]
+        return 2.0 * sum(math.prod(lengths[:k] + lengths[k + 1:]) for k in range(self.dim))
 
     def is_star_shaped_wrt_origin(self) -> bool:
         """True iff x . nu(x) > 0 at every boundary point.
@@ -132,44 +128,29 @@ class Domain:
         For these three kinds that is equivalent to the origin lying in the
         open interior.
         """
-        box = self.bounding_box
         if self.kind == "disk":
             cx, cy = self.center
             return (cx * cx + cy * cy) ** 0.5 < self.radius
-        return all(lo < 0.0 < hi for lo, hi in box)
+        return all(lo < 0.0 < hi for lo, hi in self.bounding_box)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Strict interior test for an (N, dim) array (or (N,) in 1D)."""
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "interval":
-            x = pts if pts.ndim == 1 else pts[:, 0]
-            a, b = self.endpoints
-            return (x > a) & (x < b)
-        box = self.bounding_box
-        if self.kind == "rectangle":
-            return (
-                (pts[:, 0] > box[0][0]) & (pts[:, 0] < box[0][1])
-                & (pts[:, 1] > box[1][0]) & (pts[:, 1] < box[1][1])
-            )
-        dx = pts[:, 0] - self.center[0]
-        dy = pts[:, 1] - self.center[1]
-        return dx * dx + dy * dy < self.radius**2
+        pts = np.asarray(pts, dtype=float).reshape(len(pts), self.dim)
+        if self.kind == "disk":
+            # squared radius, not a distance: nodes on the circle stay outside
+            dx = pts[:, 0] - self.center[0]
+            dy = pts[:, 1] - self.center[1]
+            return dx * dx + dy * dy < self.radius**2
+        return np.logical_and.reduce([(x > lo) & (x < hi)
+                                      for x, (lo, hi) in zip(pts.T, self.bounding_box)])
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         """Exact Euclidean distance to the boundary (for interior points)."""
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "interval":
-            x = pts if pts.ndim == 1 else pts[:, 0]
-            a, b = self.endpoints
-            return np.minimum(x - a, b - x)
-        box = self.bounding_box
-        if self.kind == "rectangle":
-            return np.minimum.reduce([
-                pts[:, 0] - box[0][0], box[0][1] - pts[:, 0],
-                pts[:, 1] - box[1][0], box[1][1] - pts[:, 1],
-            ])
-        r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        return self.radius - r
+        pts = np.asarray(pts, dtype=float).reshape(len(pts), self.dim)
+        if self.kind == "disk":
+            return self.radius - np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
+        return np.minimum.reduce([np.minimum(x - lo, hi - x)
+                                  for x, (lo, hi) in zip(pts.T, self.bounding_box)])
 
 
 @dataclass(frozen=True)
@@ -222,17 +203,9 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
     resolution = int(resolution)
     box = domain.bounding_box
     h = tuple((hi - lo) / resolution for lo, hi in box)
-    axes = tuple(
-        lo + (np.arange(resolution) + 0.5) * step
-        for (lo, _), step in zip(box, h)
-    )
-    if domain.dim == 1:
-        lattice = np.arange(resolution)[:, None]
-        x = axes[0][:, None]
-    else:
-        ii, jj = np.meshgrid(np.arange(resolution), np.arange(resolution), indexing="ij")
-        lattice = np.stack([ii.ravel(), jj.ravel()], axis=1)
-        x = np.stack([axes[0][lattice[:, 0]], axes[1][lattice[:, 1]]], axis=1)
+    axes = tuple(lo + (np.arange(resolution) + 0.5) * step for (lo, _), step in zip(box, h))
+    lattice = np.indices((resolution,) * domain.dim).reshape(domain.dim, -1).T
+    x = np.stack([axis[index] for axis, index in zip(axes, lattice.T)], axis=1)
     keep = domain.contains(x)
     lattice, x = lattice[keep], x[keep]
     if x.shape[0] == 0:
@@ -280,7 +253,7 @@ class BoundaryTrace:
     points/normals: (B, dim); weights: (B,) with sum -> |boundary|;
     x_dot_nu: (B,) inner product of the point with its outward normal;
     corners_dropped: True when the parametrization omits corner points
-    (rectangles), where the normal is not defined.
+    (boxes of dimension 2), where the normal is not defined.
     """
 
     points: np.ndarray
@@ -293,38 +266,29 @@ class BoundaryTrace:
 def boundary_trace(grid: Grid) -> BoundaryTrace:
     """Exact boundary parametrization with per-point outward normals.
 
-    Interval: the two endpoints, each carrying unit weight.  Rectangle: each
-    side sampled at the transverse cell centers (corners never appear).
-    Disk: max(256, 4*resolution) equal arcs.
+    Box (interval or rectangle): each face sampled at the cell centers
+    across it, each point weighted by the product of the cell sizes across
+    the face, so an interval's faces are its two endpoints with unit weight
+    (the empty product) and a rectangle's corners never appear.  Disk:
+    max(256, 4*resolution) equal arcs.
     """
     dom = grid.domain
-    if dom.kind == "interval":
-        a, b = dom.endpoints
-        pts = np.array([[a], [b]])
-        nrm = np.array([[-1.0], [1.0]])
-        wts = np.array([1.0, 1.0])
-    elif dom.kind == "rectangle":
-        (x0, x1), (y0, y1) = dom.bounding_box
-        xs, ys = grid.axes
-        hx, hy = grid.h
-        pts_list, nrm_list, wts_list = [], [], []
-        for xval, nx in ((x0, -1.0), (x1, 1.0)):
-            pts_list.append(np.stack([np.full_like(ys, xval), ys], axis=1))
-            nrm_list.append(np.tile([nx, 0.0], (len(ys), 1)))
-            wts_list.append(np.full(len(ys), hy))
-        for yval, ny in ((y0, -1.0), (y1, 1.0)):
-            pts_list.append(np.stack([xs, np.full_like(xs, yval)], axis=1))
-            nrm_list.append(np.tile([0.0, ny], (len(xs), 1)))
-            wts_list.append(np.full(len(xs), hx))
-        pts = np.concatenate(pts_list)
-        nrm = np.concatenate(nrm_list)
-        wts = np.concatenate(wts_list)
-    else:
+    if dom.kind == "disk":
         m = max(256, 4 * grid.resolution)
         th = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
         nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
         pts = np.asarray(dom.center) + dom.radius * nrm
         wts = np.full(m, dom.radius * 2.0 * np.pi / m)
+    else:
+        faces = []
+        for axis, ends in enumerate(dom.bounding_box):
+            across = math.prod((h for k, h in enumerate(grid.h) if k != axis), start=1.0)
+            for end, sign in zip(ends, (-1.0, 1.0)):
+                face = np.array(list(itertools.product(
+                    *([end] if k == axis else a for k, a in enumerate(grid.axes)))))
+                normal = np.zeros_like(face)
+                normal[:, axis] = sign
+                faces.append((face, normal, np.full(len(face), across)))
+        pts, nrm, wts = map(np.concatenate, zip(*faces))
     xdn = np.sum(pts * nrm, axis=1)
-    return BoundaryTrace(pts, nrm, wts, xdn, corners_dropped=(dom.kind == "rectangle"))
-
+    return BoundaryTrace(pts, nrm, wts, xdn, corners_dropped=dom.kind != "disk" and dom.dim > 1)

@@ -447,9 +447,11 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     In the subcritical regime the path only has to reach the saddle's Newton
     basin: after 5, 10, 20, ... sweeps of each attempt (`_checkpoint`) a
     `_handoff` trial starts from the ridge node, so `mp_sweeps` is a
-    ceiling.  When the budget runs out, the ridge node seeds a Newton
-    polish; a polish that collapses to zero or to a non-positive pair
-    triggers a restart with t and the budget doubled.
+    ceiling.  When the budget runs out, or when 40 halvings of a sweep's
+    Armijo step find no decrease (a "line_search" trace entry; the path
+    keeps no step), the ridge node seeds a Newton polish; a polish that
+    collapses to zero or to a non-positive pair triggers a restart with t
+    and the budget doubled.
 
     In the critical and supercritical regimes the run is a diagnostic
     (expected outcome: nonconvergence) and makes no trials, so an early
@@ -473,6 +475,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     m = PATH_NODES
     for restart in range(MAX_RESTARTS + 1):
         path = (np.arange(m + 1) / m * t)[:, None] * bump
+        ran = sweeps_budget
         for sweep in range(sweeps_budget):
             j, phi0, a_ridge = _path_max(op, path, exps, eps)
             ridge = path[j].copy()  # the trace below reads it after path[j] moves
@@ -494,13 +497,18 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                 if energy_value(op, candidate, exps, eps) <= phi0 + ARMIJO * alpha * slope:
                     break
                 alpha *= 0.5
+            else:  # no step lowers the energy: the attempt ends at this ridge
+                trace.append({"stage": "line_search", "iter": sweep, "energy": phi0,
+                              "outcome": "no decrease after 40 halvings"})
+                ran = sweep + 1
+                break
             path[j] = candidate
             path = _resample_path(path)
             if sweep % 25 == 0:
                 trace.append({"stage": f"mountain_pass_restart{restart}", "iter": sweep,
                               "energy": phi0,
                               "stationarity": euler_lagrange_residual(op, ridge, exps, eps)})
-        sweeps_run += sweeps_budget
+        sweeps_run += ran
         j, _, a_ridge = _path_max(op, path, exps, eps)
         ridge = path[j].copy()
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)

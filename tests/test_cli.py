@@ -351,6 +351,31 @@ def test_supercritical_convergence_is_flagged_as_artifact(tmp_path):
     assert record["verdict"].startswith("discretization artifact likely")
 
 
+@pytest.mark.parametrize("domain, s, kind", [
+    ([], "1/4", "nonexistence-consistent"),  # (-1, 1): the sweep's critical point
+    (["--domain-kind", "disk", "--radius", 1], "1/2", "nonexistence-consistent"),
+    (["--domain-kind", "disk", "--radius", 1, "--center", 2, 0], "1/2", "nonconvergence"),
+])
+def test_critical_nonconvergence_verdict_needs_a_star_shaped_domain(tmp_path, monkeypatch,
+                                                                    capsys, domain, s, kind):
+    # (3, 3) is critical at n = 1, s = 1/4 and at n = 2, s = 1/2; a failed
+    # solve there is consistent with nonexistence only when the identity's
+    # boundary term is positive, i.e. on a domain star-shaped about 0
+    def failing_solve(*args):
+        raise NonconvergenceError("mountain pass failed after 4 attempts")
+
+    monkeypatch.setattr(fraclane.cli, "solve_system", failing_solve)
+    out = tmp_path / "critical"
+    assert run("solve", *domain, "--resolution", 12, "--s", s, "--p", 3, "--q", 3,
+               "--outdir", out) == 2
+    record = json.loads((out / "record.json").read_text())
+    assert set(record) == set(RECORD_FIELDS)
+    assert record["regime"] == "critical" and record["converged"] is False
+    assert record["verdict"].split(":", 1)[0] == kind
+    assert record["verdict"].endswith("mountain pass failed after 4 attempts")
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # round trip
 
@@ -434,6 +459,18 @@ def test_entry_points_agree_on_a_rational_order(tmp_path, capsys):
                                                                        ("1/3", "1/3")]
     assert rows[1]["converged"] is True
     assert (out / "phase_diagram.csv").read_text().splitlines()[2].startswith("1/3,6.0,")
+
+
+def test_phase_diagram_records_a_bad_point_and_goes_on(tmp_path, capsys):
+    out = tmp_path / "bad_point"
+    assert run("phase-diagram", "--pairs", "0:1,1/2:1/2", "--resolution", 16,
+               "--outdir", out) == 0
+    rows = json.loads((out / "phase_diagram.json").read_text())
+    assert [row["verdict"].split(":", 1)[0] for row in rows] == ["configuration error",
+                                                                 "existence"]
+    assert rows[0]["verdict"] == "configuration error: exponents must be positive"
+    assert all(set(row) == set(RECORD_FIELDS) for row in rows)
+    capsys.readouterr()
 
 
 def test_phase_diagram_csv_quotes_embedded_quotes(tmp_path, monkeypatch):

@@ -496,6 +496,40 @@ def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     assert calls["apply"] == 1108 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
 
 
+def test_failed_line_search_ends_the_attempt(setup64, monkeypatch):
+    # Every Armijo trial of the third sweep is refused (its single-row
+    # energies read inf).  The attempt must end there with a trace entry,
+    # and its polish must start from that sweep's ridge, not from a path
+    # that kept a step which did not lower the energy.
+    _, op = setup64
+    solvers = fraclane.solvers
+    value, gradient, polish = solvers.energy_value, solvers.energy_gradient, solvers.newton_polish
+    ridges, starts, polished = [], [], []
+
+    def recording_gradient(op, u, *args, **kwargs):
+        ridges.append(u.copy())
+        return gradient(op, u, *args, **kwargs)
+
+    def refusing_value(op, u, *args, **kwargs):
+        return np.inf if np.ndim(u) == 1 and len(ridges) == 3 else value(op, u, *args, **kwargs)
+
+    def recording_polish(op, u, *args, **kwargs):
+        starts.append(u.copy())
+        polished.append(polish(op, u, *args, **kwargs))
+        return polished[-1]
+
+    monkeypatch.setattr(solvers, "energy_gradient", recording_gradient)
+    monkeypatch.setattr(solvers, "energy_value", refusing_value)
+    monkeypatch.setattr(solvers, "newton_polish", recording_polish)
+    _no_handoff(monkeypatch)
+    pair = mountain_pass(op, ExponentPair(3.0, 3.0), SolverConfig(mp_sweeps=40))
+    failed = [(e["iter"], e["outcome"]) for e in pair.trace if e["stage"] == "line_search"]
+    assert failed == [(2, "no decrease after 40 halvings")]
+    assert len(ridges) == 3 and len(starts) == 1  # no sweep after the failure
+    assert starts[0].tobytes() == ridges[2].tobytes()
+    assert pair.accepted and pair.iterations == 3 + polished[0].iterations  # 3 sweeps run
+
+
 def test_checkpoints_are_five_times_powers_of_two():
     fired = [steps for steps in range(2001) if fraclane.solvers._checkpoint(steps)]
     assert fired == [5, 10, 20, 40, 80, 160, 320, 640, 1280]
