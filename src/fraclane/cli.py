@@ -219,6 +219,7 @@ def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None
         "uniqueness_gap_u": get(gap, "gap_u"),
         "uniqueness_gap_v": get(gap, "gap_v"),
         "uniqueness_s_hat": get(gap, "s_hat"),
+        "symmetry": get(pair, "symmetry"),
         "n_nodes": get(grid, "n_nodes"),
         "grid_h": None if grid is None else list(grid.h),
         "version": __version__,
@@ -238,17 +239,15 @@ def _sign_obstructed(regime: str, domain: Domain, rhs_factor: float) -> bool:
 
 
 def _operator(cfg: dict):
-    """The assembled, factored operator of a validated config."""
+    """The operator of a validated config; a solve builds what it factors."""
     grid = build_grid(_domain_from_config(cfg), cfg["resolution"])
-    op = assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
-    op.factor()
-    return op
+    return assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
 
 
 def _run_solve(cfg: dict, operator=_operator) -> tuple:
     """Full pipeline for one problem.  Returns (record, pair_or_None, grid);
     the pair is None when any requested solve failed to converge.
-    `operator(cfg)` supplies the factored operator."""
+    `operator(cfg)` supplies the operator."""
     t0 = time.perf_counter()
     if cfg["p"] is None or cfg["q"] is None:
         raise ConfigurationError("config needs exponents 'p' and 'q'")

@@ -10,13 +10,19 @@ from the lattice.
 
 Intervals and rectangles are axis-aligned boxes in 1D and 2D: one box path
 gives their geometry and boundary trace; only the disk has its own.
+
+Every domain is symmetric under the lattice group of its box: the
+reflections i -> resolution-1-i per axis, plus the axis swap where the cells
+are square.  A grid records each node's orbit under the group when its node
+set is closed under it, so that symmetric functions can be solved for on one
+node per orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,7 +167,13 @@ class Grid:
     lattice: integer cell indices of the interior nodes, shape (N, dim).
     h: cell size per axis.
     d: exact distance from each node to the domain boundary, shape (N,).
-    weights: quadrature weight per node (the cell volume), shape (N,).
+    weights: quadrature weight per node, cell volume times multiplicity, shape (N,).
+    multiplicity: lattice nodes per node, shape (N,): 1, or the orbit size
+        on a grid of orbit representatives (`FractionalOperator.reduced`).
+    orbit: each node's orbit under the lattice group, numbered by its
+        smallest node index, shape (N,); None on a grid of representatives
+        and when the node set is not closed under the group (the disk's
+        interior test runs in floating point).
     """
 
     domain: Domain
@@ -172,10 +184,17 @@ class Grid:
     x: np.ndarray
     d: np.ndarray
     weights: np.ndarray = field(repr=False)
+    multiplicity: np.ndarray = field(repr=False)
+    orbit: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.domain.dim
+
+    @property
+    def group_order(self) -> int:
+        """The lattice group's order: 2 per axis, 2 more for a swap of square cells."""
+        return 2 ** self.dim * (2 if self.dim == 2 and self.h[0] == self.h[1] else 1)
 
     @property
     def n_nodes(self) -> int:
@@ -212,7 +231,23 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
         raise ConfigurationError("no grid node falls inside the domain")
     d = domain.boundary_distance(x)
     weights = np.full(x.shape[0], float(np.prod(h)))
-    return Grid(domain, resolution, h, axes, lattice, x, d, weights)
+    grid = Grid(domain, resolution, h, axes, lattice, x, d, weights, np.ones(x.shape[0]))
+    return replace(grid, orbit=_orbits(grid))
+
+
+def _orbits(grid: Grid) -> np.ndarray | None:
+    """Each node's orbit under the lattice group (`Grid.orbit`); None if an image is no node."""
+    res, lattice = grid.resolution, grid.lattice
+    images = [np.where(flip, res - 1 - lattice, lattice)
+              for flip in itertools.product((False, True), repeat=grid.dim)]
+    if grid.group_order > len(images):  # the swap, composed with each reflection
+        images += [image[:, ::-1] for image in images]
+    node = np.full((res,) * grid.dim, -1)  # the node at each cell of the box
+    node[tuple(lattice.T)] = np.arange(grid.n_nodes)
+    image_nodes = np.stack([node[tuple(image.T)] for image in images])
+    if np.any(image_nodes < 0):
+        return None
+    return np.unique(np.min(image_nodes, axis=0), return_inverse=True)[1]
 
 
 def interpolate(grid: Grid, u: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -166,15 +166,18 @@ def energy_value(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
 
 def energy_gradient(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
                     smoothing: float = 0.0, au: np.ndarray | None = None) -> np.ndarray:
-    """Quadrature-weighted gradient: g = A (w sigma_eps(A u)) - w (u_+)^q,
+    """Quadrature-weighted gradient: g = m (A (w sigma_eps(A u)) - w (u_+)^q),
     so that <g, phi> is the directional derivative of the smoothed energy.
 
-    As in `energy`, a caller holding A u passes it as `au`."""
+    w is the cell volume and m the grid's multiplicity (1, or the orbit
+    sizes on the symmetric subspace), so that the grid's weights are w m; m
+    is a power of 2, so w m / m is w exactly.  A caller holding A u passes
+    it as `au`."""
     p, q = exps.pf, exps.qf
-    w = op.grid.weights
+    wm, m = op.grid.weights, op.grid.multiplicity
     if au is None:
         au = op.apply(u)
-    return op.apply(w * smoothed_power(au, smoothing, p)) - w * np.maximum(u, 0.0) ** q
+    return m * op.apply(wm / m * smoothed_power(au, smoothing, p)) - wm * np.maximum(u, 0.0) ** q
 
 
 def euler_lagrange_residual(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,

@@ -11,22 +11,32 @@ kernel mass outside the singular cell — and the assembly exact up to the
 per-cell quadrature of the kernel, with no separately truncated tail.
 
 Every entry depends only on the lattice offset between its two nodes, so
-assembly tabulates the entries once per offset, mirrors the table to every
-signed offset, and gathers the matrix from it a row block at a time.
+`assemble` tabulates the entries once per offset and mirrors the table to
+every signed offset; the N x N matrix A is gathered from that table a row
+block at a time when it is first used.
 
 The resulting dense matrix is symmetric with positive diagonal and
 nonpositive off-diagonal entries (an M-matrix), which yields the discrete
 maximum principle used throughout.
+
+On a grid whose node set is closed under its lattice group (`Grid.orbit`),
+A commutes with the group; `FractionalOperator.reduced` gives its form on
+the symmetric functions, the M x M M-matrix S = E^T A E for the N x M orbit
+expansion E, gathered from the same table without forming A.  S is
+factored with SciPy's OpenBLAS on one thread, since two threads can stall
+for hundreds of milliseconds on a few hundred unknowns (README, "Threads");
+full-space factorizations keep the thread count their results depend on.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.special import beta, betainc, gamma
@@ -42,32 +52,30 @@ __all__ = [
 ]
 
 
-def _single_threaded_numpy_blas() -> None:
-    """Run NumPy's own OpenBLAS on one thread; SciPy's keeps its own count.
-
-    NumPy and SciPy wheels each load an OpenBLAS with its own thread pool.
-    After a NumPy gemv (`apply`, GMRES) the NumPy pool's workers keep
-    spinning, and a threaded SciPy Cholesky (`potrf`/`potrs`) then runs
-    against them for the cores (README, "Threads").  NumPy's gemv is
-    bitwise the same at 1 and 2 threads up to N = 2048, so one thread
-    changes no result.  Does nothing unless NumPy's BLAS is the
-    scipy-openblas64 library of a Linux wheel (not MKL, Accelerate or a
-    system OpenBLAS).
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        try:  # RTLD_NOLOAD: only the copy NumPy already loaded
+def _openblas_threads(package, pattern: str, suffix: str):
+    """(get, set) of the thread count of the scipy-openblas library a Linux
+    wheel of `package` bundles in `<package>.libs` and has loaded, else None
+    (MKL, Accelerate, a system OpenBLAS, another platform)."""
+    for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(pattern):
+        try:  # RTLD_NOLOAD: only the copy the package already loaded
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        except OSError:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
             continue
-        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
 
 
-_single_threaded_numpy_blas()
+# NumPy's OpenBLAS runs on one thread, so its spinning workers leave the
+# cores to SciPy's Cholesky (README, "Threads"); NumPy's gemv is bitwise the
+# same at 1 and 2 threads up to N = 2048.
+_NUMPY_BLAS = _openblas_threads(np, "libscipy_openblas64_*.so", "64_")
+if _NUMPY_BLAS is not None:
+    _NUMPY_BLAS[1](1)
+_SCIPY_BLAS = _openblas_threads(scipy, "libscipy_openblas-*.so", "")
 
 
 def _check_order(s) -> float:
@@ -176,56 +184,147 @@ def _second_moments(dim: int, h: tuple, s: float) -> tuple:
     return cx, cy
 
 
-class FractionalOperator:
-    """Assembled dense operator on a grid's interior nodes.  `singular_correction`
-    records how `assemble` built the matrix, so an operator on another grid
-    can be assembled the same way."""
+def _positions(grid: Grid) -> tuple:
+    """Flat positions of the nodes and of offset 0 in the box of signed offsets."""
+    box = (2 * grid.resolution - 1,) * grid.dim
+    return (np.ravel_multi_index(tuple(grid.lattice.T), box),
+            np.ravel_multi_index((grid.resolution - 1,) * grid.dim, box))
 
-    def __init__(self, grid: Grid, s, matrix: np.ndarray,
-                 singular_correction: bool = False):
+
+class FractionalOperator:
+    """The operator on a grid, given by its matrix or by the kernel `table`
+    of `assemble`, in which nodes i and j couple by
+    table[pos_j - pos_i + center] (`_positions`).  `apply` is
+    u -> (matrix u)/m and `solve` f -> matrix^{-1} (m f) for the grid's
+    multiplicities m: in the full space m is 1 and the matrix is A, so
+    results are those of A alone, bit for bit; on a reduced form, whose grid
+    holds the orbit representatives, m holds the orbit sizes and the matrix
+    is S.  `singular_correction` records how `assemble` built the table, so
+    an operator on another grid can be assembled the same way."""
+
+    def __init__(self, grid: Grid, s, matrix: np.ndarray | None = None,
+                 singular_correction: bool = False, table: np.ndarray | None = None,
+                 orbits: tuple | None = None):
         self.grid = grid
         self.s = s
         self.n = grid.dim
-        self.matrix = matrix
+        self.table = table
         self.singular_correction = singular_correction
+        self._matrix = matrix
+        # a reduced form's representative node of each orbit and orbit of each node
+        self.rep, self.orbit = orbits or (None, None)
+        # magnitude of A's diagonal (offset 0), the natural residual scale
+        self.scale = float(matrix[0, 0] if table is None else table[table.size // 2])
         self._factor = None
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.n_nodes
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            nodes = np.arange(self.n_nodes)
+            self._matrix = self._summed_rows(nodes, nodes, nodes)
+        return self._matrix
+
+    def _summed_rows(self, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """A's rows at the nodes `rows`, restricted to the nodes `cols` and
+        summed over the runs of columns that begin at `starts`; gathered
+        from the table about 2^16 entries at a time, so no N x N temporary
+        is formed."""
+        pos, center = _positions(self.grid)
+        out = np.empty((len(rows), len(starts)))
+        step = max(1, (1 << 16) // len(cols))
+        for start in range(0, len(rows), step):
+            block = out[start:start + step]
+            index = pos[cols] + (center - pos[rows[start:start + step], None])
+            if len(starts) == len(cols):  # runs of one column: a plain gather
+                # every index is in range; mode="raise" would buffer the output block
+                np.take(self.table, index, out=block, mode="clip")
+            else:
+                np.add.reduceat(np.take(self.table, index), starts, axis=1, out=block)
+        return out
+
+    def reduced(self) -> FractionalOperator:
+        """The factored form on the symmetric subspace, built anew by every
+        call; the grid's node set must be closed under its group
+        (`Grid.orbit`).
+
+        A is invariant under the group, so (E^T A E)_ij is m_i times the row
+        of A at representative i with its columns summed over orbit j.  The
+        upper triangle is then mirrored row by row, so that S is bitwise
+        symmetric.
+        """
+        grid, orbit = self.grid, self.grid.orbit
+        order = np.argsort(orbit, kind="stable")  # the nodes, orbit by orbit
+        sizes = np.bincount(orbit)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        rep = order[starts]  # each orbit's smallest node index
+        matrix = self._summed_rows(rep, order, starts)
+        matrix *= sizes[:, None]
+        for i in range(len(rep) - 1):
+            matrix[i + 1:, i] = matrix[i, i + 1:]
+        reps = replace(grid, lattice=grid.lattice[rep], x=grid.x[rep], d=grid.d[rep],
+                       weights=grid.weights[rep] * sizes, multiplicity=sizes.astype(float),
+                       orbit=None)
+        reduced = FractionalOperator(reps, self.s, matrix, self.singular_correction,
+                                     self.table, (rep, orbit))
+        reduced.factor()
+        return reduced
+
+    @property
+    def symmetry(self) -> dict | None:
+        """Where it acts: None on the grid's nodes, else the group order and orbit count."""
+        return None if self.orbit is None else {"group_order": self.grid.group_order,
+                                                "orbits": self.n_nodes}
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """A function of the unknowns as a function of the grid's nodes."""
+        return x if self.orbit is None else x[..., self.orbit]
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """A symmetric function of the grid's nodes as one of the unknowns."""
+        return x if self.rep is None else x[..., self.rep]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u, or for a (k, N) stack the k products as rows: one gemv per row
-        (matmul over a trailing unit axis), bitwise equal to the one-row
-        product, which a GEMM such as u @ A.T is not."""
-        if np.ndim(u) == 1:
-            return self.matrix @ u
-        return np.matmul(self.matrix, u[..., None])[..., 0]
+        """(matrix u)/m, or for a (k, N) stack the k products as rows: one gemv
+        per row (matmul over a trailing unit axis), bitwise equal to the
+        one-row product, which a GEMM such as u @ A.T is not."""
+        au = self.matrix @ u if np.ndim(u) == 1 else np.matmul(self.matrix, u[..., None])[..., 0]
+        return au if self.orbit is None else au / self.grid.multiplicity
 
     def factor(self):
+        """The Cholesky factor of `matrix`, by `cho_factor` on first use; a
+        reduced form's with SciPy's OpenBLAS on one thread (module notes)."""
         if self._factor is None:
-            self._factor = cho_factor(self.matrix)
-            (self._potrs,) = get_lapack_funcs(("potrs",), (self._factor[0],))
+            threads = _SCIPY_BLAS and self.orbit is not None and _SCIPY_BLAS[0]()
+            if threads:
+                _SCIPY_BLAS[1](1)
+            try:
+                factor = cho_factor(self.matrix)
+            finally:
+                if threads:
+                    _SCIPY_BLAS[1](threads)
+            (self._potrs,) = get_lapack_funcs(("potrs",), (factor[0],))
+            self._factor = factor
         return self._factor
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """Solve A w = f by the cached Cholesky factor (LAPACK potrs, as in
-        cho_solve without its checks).  No finiteness scan: the factor is of
-        a finite matrix, and a non-finite f gives a non-finite w."""
+        """Solve matrix w = m f by the cached Cholesky factor (LAPACK potrs,
+        as in cho_solve without its checks).  No finiteness scan: the factor
+        is of a finite matrix, and a non-finite f gives a non-finite w."""
         factor, lower = self.factor()
+        f = f if self.orbit is None else self.grid.multiplicity * f
         w, info = self._potrs(factor, f, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
         return w
 
-    @property
-    def scale(self) -> float:
-        """Magnitude of the diagonal, the natural residual scale."""
-        return float(self.matrix[0, 0])
-
 
 def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOperator:
-    """Build the dense symmetric operator matrix for the grid.  The operator
+    """Tabulate the operator's kernel over the lattice offsets of the grid;
+    the matrix is gathered from the table when first used.  The operator
     keeps `s` as given (an exact rational stays exact, for the regime); the
     kernel uses its float.
 
@@ -251,17 +350,6 @@ def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOper
             coeff = 0.5 * c * moment / grid.h[axis] ** 2
             kern[(0,) * dim] += 2.0 * coeff
             kern[tuple(np.eye(dim, dtype=int)[axis])] -= coeff
-    # mirrored to every signed offset and flattened: two nodes' flat
-    # positions in that box differ by their offset's flat position
-    box = (2 * res - 1,) * dim
-    full = kern[np.ix_(*[np.abs(np.arange(1 - res, res))] * dim)].ravel()
-    pos = np.ravel_multi_index(tuple(grid.lattice.T), box)
-    center = np.ravel_multi_index((res - 1,) * dim, box)
-    n = grid.n_nodes
-    matrix = np.empty((n, n))
-    step = max(1, (1 << 16) // n)  # rows per block: 512 kB of int64 indices
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        # every index is in range; mode="raise" would buffer the output block
-        np.take(full, pos[None, :] + (center - pos[rows])[:, None], out=matrix[rows], mode="clip")
-    return FractionalOperator(grid, order, matrix, singular_correction)
+    # mirrored to every signed offset and flattened
+    table = kern[np.ix_(*[np.abs(np.arange(1 - res, res))] * dim)].ravel()
+    return FractionalOperator(grid, order, None, singular_correction, table)

@@ -98,6 +98,7 @@ class SolutionPair:
     iterations: int
     trace: list = field(default_factory=list, repr=False)
     message: str = ""  # why the run stopped short; empty when it converged
+    symmetry: dict | None = None  # the reduced operator's `symmetry`; None in the full space
 
     @property
     def converged(self) -> bool:
@@ -280,11 +281,15 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
             break
         du, dv = _power_derivative(u, q), _power_derivative(v, p)
         ainv_fu = op.solve(f_u)
-        step_v, entry["krylov"] = _gmres(lambda x: x - op.solve(du * op.solve(dv * x)),
-                                         op.solve(-f_v - du * ainv_fu), rtol)
+        # in x = root s_v, GMRES's inner product is that of the grid's nodes
+        root = np.sqrt(op.grid.multiplicity)
+        step_v, entry["krylov"] = _gmres(
+            lambda x: x - root * op.solve(du * op.solve(dv * (x / root))),
+            root * op.solve(-f_v - du * ainv_fu), rtol)
         if step_v is None:
             message = f"singular Jacobian at iteration {it}"
             break
+        step_v = step_v / root
         step_u = op.solve(dv * step_v) - ainv_fu
         cap = NEWTON_STEP_CAP * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-12)
         step_sup = max(float(np.max(np.abs(step_u))), float(np.max(np.abs(step_v))))
@@ -401,15 +406,16 @@ def _finish(polished: SolutionPair, method: str, trace: list, steps: int) -> Sol
 # mountain pass (pq > 1, subcritical)
 
 
-def _resample_path(path: np.ndarray) -> np.ndarray:
-    """Re-parametrize the piecewise-linear path (a node per row) uniformly by arclength.
+def _resample_path(path: np.ndarray, mult=1.0) -> np.ndarray:
+    """Re-parametrize the piecewise-linear path (a node per row) uniformly by
+    arclength, in the norm weighted by the grid's multiplicities `mult`.
 
     Keeps the path a connected curve while individual nodes are deformed;
     without it the deformed node slides off the ridge into the zero basin.
     """
     m = len(path) - 1
     diff = path[1:] - path[:-1]
-    seg = np.sqrt(np.sum(diff ** 2, axis=1))
+    seg = np.sqrt(np.sum(mult * diff ** 2, axis=1))
     total = float(np.sum(seg))
     if total <= 0.0:
         return path
@@ -503,7 +509,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
                 ran = sweep + 1
                 break
             path[j] = candidate
-            path = _resample_path(path)
+            path = _resample_path(path, op.grid.multiplicity)
             if sweep % 25 == 0:
                 trace.append({"stage": f"mountain_pass_restart{restart}", "iter": sweep,
                               "energy": phi0,
@@ -526,16 +532,17 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     )
 
 
-def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig) -> tuple:
+def _coarse_to_fine(op: FractionalOperator, space: FractionalOperator, exps: ExponentPair,
+                    cfg: SolverConfig) -> tuple:
     """(result or None, "coarse_to_fine" trace entry) of one coarse-to-fine level.
 
     A recursive `solve_system` call solves the problem on the grid of half
     the resolution, with the operator assembled as `op` was; the coarse u
-    and v, interpolated to op's nodes, start a monotone Newton run.  By
-    Newton's mesh independence that start lies in the fine grid's quadratic
-    basin.  `_newton_trial` judges the run, with a collapse floor of 1e-6
-    of the start's sup-norm; the result is None when it is rejected or the
-    coarse level fails.
+    and v, interpolated to the nodes of `space` (op, or its reduced form),
+    start a monotone Newton run there.  By Newton's mesh independence that
+    start lies in the fine grid's quadratic basin.  `_newton_trial` judges
+    the run, with a collapse floor of 1e-6 of the start's sup-norm; the
+    result is None when it is rejected or the coarse level fails.
     """
     grid = op.grid
     entry = {"stage": "coarse_to_fine", "resolution": grid.resolution,
@@ -546,11 +553,16 @@ def _coarse_to_fine(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfi
     except (NonconvergenceError, ConfigurationError) as exc:
         entry["outcome"] = f"coarse level failed: {exc}"
         return None, entry
-    u0, v0 = (interpolate(coarse_grid, w, grid.x) for w in (coarse.u, coarse.v))
-    trial = _newton_trial(op, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
+    u0, v0 = (interpolate(coarse_grid, w, space.grid.x) for w in (coarse.u, coarse.v))
+    trial = _newton_trial(space, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
     if trial is None:
         return None, entry
     return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations), entry
+
+
+def _on_nodes(pair: SolutionPair, space: FractionalOperator) -> SolutionPair:
+    """A pair computed on `space` as a pair on the grid's nodes."""
+    return replace(pair, u=space.expand(pair.u), v=space.expand(pair.v), symmetry=space.symmetry)
 
 
 def solve_system(op: FractionalOperator, exps: ExponentPair,
@@ -566,14 +578,27 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     on op's grid is the fallback when that level is rejected.  Each level
     adds a "coarse_to_fine" trace entry; nothing is cached between calls.
     Superlinear runs start from the bump whatever `cfg.init` says.
+
+    With a symmetric start (the bump; a sublinear `zero`), an assembled
+    operator and a grid closed under its lattice group, the sublinear and
+    subcritical solves run on `op.reduced()`: the sublinear solution is
+    unique and the subcritical one is reached by equivariant steps, so both
+    are symmetric.  The pair returns on the grid's nodes with the reduced
+    `symmetry`.  A sublinear `random` start, the critical and supercritical
+    diagnostics (their outcome turns on rounding) and the fallback mountain
+    pass stay in the full space.
     """
     regime = _regime(op, exps)
+    symmetric = (regime == "superlinear_subcritical"
+                 or (regime == "sublinear" and cfg.init in ("bump", "zero")))
+    reducible = op.table is not None and op.grid.orbit is not None  # assembled, closed grid
+    space = op.reduced() if symmetric and reducible else op
     if regime == "sublinear":
-        return minimize_sublinear(op, exps, cfg)
+        return _on_nodes(minimize_sublinear(space, exps, cfg), space)
     if regime == "superlinear_subcritical" and op.grid.resolution // 2 >= COARSE_FLOOR:
-        warm, entry = _coarse_to_fine(op, exps, cfg)
+        warm, entry = _coarse_to_fine(op, space, exps, cfg)
         if warm is not None:
-            return warm
+            return _on_nodes(warm, space)
         fallback = mountain_pass(op, exps, cfg)
         return replace(fallback, trace=[entry] + fallback.trace)
-    return mountain_pass(op, exps, cfg)
+    return _on_nodes(mountain_pass(space, exps, cfg), space)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gamma
 
 import fraclane.operator
@@ -161,6 +161,16 @@ def beta_table_2d_by_cell(kx: int, ky: int, h1: float, h2: float, s: float) -> n
             wts = (0.5 * h1 * gw)[:, None] * (0.5 * h2 * gw)[None, :]
             table[k1, k2] = float(np.sum(wts * r2 ** (-1.0 - s)))
     return table
+
+
+def cell_mass_by_dblquad(k1: int, k2: int, h1: float, h2: float, s: float) -> float:
+    """Integral of |y|^(-2-2s) over the offset cell (k1, k2) != (0, 0) of an
+    h1 x h2 lattice, by adaptive `dblquad`; the integrand is smooth there,
+    since the cell stays at least half a cell from the origin."""
+    value, _ = dblquad(lambda y, x: (x * x + y * y) ** (-1.0 - s),
+                       (k1 - 0.5) * h1, (k1 + 0.5) * h1, (k2 - 0.5) * h2, (k2 + 0.5) * h2,
+                       epsabs=0.0, epsrel=1e-13)
+    return value
 
 
 def _central_cell_radius(theta: float, h1: float, h2: float) -> float:

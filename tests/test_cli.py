@@ -2,12 +2,15 @@
 outputs, round-trip reproducibility."""
 
 import csv
+import ctypes
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import fraclane.cli
 import fraclane.operator
@@ -163,9 +166,14 @@ def test_resonant_input_exits_3(tmp_path, capsys):
     assert "resonant" in capsys.readouterr().err
 
 
-def test_solve_factors_the_fine_operator_first(tmp_path, monkeypatch):
+def _orbits(domain, resolution):
+    return len(set(build_grid(domain, resolution).orbit))
+
+
+def test_solve_factors_the_fine_reduced_operator_first(tmp_path, monkeypatch):
     """The benchmark's set-up window ends at the first factorization, so the
-    coarse-to-fine levels must factor their operators after the fine one."""
+    coarse-to-fine levels must factor their operators after the fine one;
+    on the disk every level factors its reduced form, and no N x N matrix."""
     sizes = []
     cho_factor = fraclane.operator.cho_factor
 
@@ -176,7 +184,7 @@ def test_solve_factors_the_fine_operator_first(tmp_path, monkeypatch):
     monkeypatch.setattr(fraclane.operator, "cho_factor", recording_cho_factor)
     assert run("solve", "--domain-kind", "disk", "--radius", 1, "--resolution", 32,
                "--p", 2, "--q", 2, "--s", 0.5, "--outdir", tmp_path / "disk") == 0
-    assert sizes == [build_grid(Domain.disk(1.0), res).n_nodes for res in (32, 16)]
+    assert sizes == [_orbits(Domain.disk(1.0), res) for res in (32, 16)]
 
 
 def test_configuration_errors_exit_4(tmp_path, capsys):
@@ -584,6 +592,69 @@ def test_audit_takes_the_default_domain_of_n(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # benchmark hooks
+
+
+def _scipy_blas_threads():
+    """The thread count of SciPy's bundled OpenBLAS, or None where SciPy's
+    BLAS is another library."""
+    for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas-*.so"):
+        try:
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_num_threads()
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+class _StopAtFactor(BaseException):
+    pass
+
+
+def test_reduced_solve_factors_through_the_module_global_on_one_thread(tmp_path, monkeypatch):
+    """perfbench patches `fraclane.operator.cho_factor`, ends its set-up window
+    at the first call and stops a set-up case by raising a BaseException out
+    of it; the SciPy BLAS thread count must survive both ways out."""
+    argv = ("solve", "--domain-kind", "disk", "--radius", 1, "--resolution", 16,
+            "--p", 2, "--q", 2, "--s", 0.5, "--outdir", tmp_path / "disk")
+    before = _scipy_blas_threads()
+    calls = []
+    cho_factor = fraclane.operator.cho_factor
+
+    def recording(matrix, *args, **kwargs):
+        calls.append((matrix.shape[0], _scipy_blas_threads()))
+        return cho_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fraclane.operator, "cho_factor", recording)
+    assert run(*argv) == 0
+    record = json.loads((tmp_path / "disk" / "record.json").read_text())
+    assert record["symmetry"] == {"group_order": 8, "orbits": _orbits(Domain.disk(1.0), 16)}
+    assert calls == [(record["symmetry"]["orbits"], None if before is None else 1)]
+    assert _scipy_blas_threads() == before
+
+    def stopping(matrix, *args, **kwargs):
+        cho_factor(matrix, *args, **kwargs)
+        raise _StopAtFactor
+
+    monkeypatch.setattr(fraclane.operator, "cho_factor", stopping)
+    with pytest.raises(_StopAtFactor):
+        run(*argv)
+    assert _scipy_blas_threads() == before
+
+
+def test_record_says_where_it_solved(tmp_path):
+    out = tmp_path / "disk"
+    assert run("solve", "--domain-kind", "disk", "--radius", 1, "--resolution", 40,
+               "--p", 2, "--q", 2, "--s", 0.5, "--outdir", out) == 0
+    assert json.loads((out / "record.json").read_text())["symmetry"] == {
+        "group_order": 8, "orbits": 165}
+    # a random start stays in the full space, and so does a critical diagnostic
+    assert run("solve", "--resolution", 32, "--p", 0.5, "--q", 0.5, "--init", "random",
+               "--outdir", tmp_path / "random") == 0
+    assert run("phase-diagram", "--pairs", "3:3", "--resolution", 32, "--s", 0.25,
+               "--outdir", tmp_path / "critical") == 0
+    random_record = json.loads((tmp_path / "random" / "record.json").read_text())
+    (critical,) = json.loads((tmp_path / "critical" / "phase_diagram.json").read_text())
+    assert random_record["converged"] and random_record["symmetry"] is None
+    assert critical["regime"] == "critical" and critical["symmetry"] is None
 
 
 def test_benchmark_hooks_name_existing_globals(monkeypatch):
