@@ -132,16 +132,20 @@ def _validated(cfg: dict) -> dict:
         "seed": _cast(int, cfg.get("seed", defaults.seed), "seed"),
         "init": cfg.get("init", defaults.init),
         "second_init": cfg.get("second_init"),
-        "singular_correction": bool(cfg.get("singular_correction", False)),
+        "singular_correction": cfg.get("singular_correction", False),
         "max_iter": _cast(int, cfg.get("max_iter", defaults.max_iter), "max_iter"),
         "mp_sweeps": _cast(int, cfg.get("mp_sweeps", defaults.mp_sweeps), "mp_sweeps"),
         "residual_tol": _cast(float, cfg.get("residual_tol", defaults.residual_tol),
                               "residual_tol"),
-        "outdir": cfg.get("outdir") or os.environ.get("FRACLANE_OUTDIR", "fraclane_out"),
+        "outdir": cfg.get("outdir") or os.environ.get("FRACLANE_OUTDIR") or "fraclane_out",
     }
     if not 0 < out["residual_tol"] < float("inf"):
         raise ConfigurationError(f"residual_tol must be positive and finite, "
                                  f"got {out['residual_tol']}")
+    for key, kind, expected in (("singular_correction", bool, "true or false"),
+                                ("outdir", str, "a string")):
+        if not isinstance(out[key], kind):  # bool("false") is True
+            raise ConfigurationError(f"{key} must be {expected}, got {out[key]!r}")
     if out["seed"] < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {out['seed']}")
     for key in ("max_iter", "mp_sweeps"):

@@ -248,8 +248,8 @@ class FractionalOperator:
 
     def reduced(self) -> FractionalOperator:
         """The factored form on the symmetric subspace, built anew by every
-        call; the grid's node set must be closed under its group
-        (`Grid.orbit`).
+        call; the operator itself when it is given by a matrix (which need
+        not commute with the group) or its grid is not closed (`Grid.orbit`).
 
         A is invariant under the group, so (E^T A E)_ij is m_i times the row
         of A at representative i with its columns summed over orbit j.  The
@@ -257,6 +257,8 @@ class FractionalOperator:
         symmetric.
         """
         grid, orbit = self.grid, self.grid.orbit
+        if self.table is None or orbit is None:
+            return self
         order = np.argsort(orbit, kind="stable")  # the nodes, orbit by orbit
         sizes = np.bincount(orbit)
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])

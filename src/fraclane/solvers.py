@@ -532,37 +532,36 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     )
 
 
-def _coarse_to_fine(op: FractionalOperator, space: FractionalOperator, exps: ExponentPair,
-                    cfg: SolverConfig) -> tuple:
-    """(result or None, "coarse_to_fine" trace entry) of one coarse-to-fine level.
+def _coarse_to_fine(space: FractionalOperator, exps: ExponentPair,
+                    cfg: SolverConfig) -> SolutionPair:
+    """The pair on `space` of one coarse-to-fine level, else the plain
+    mountain pass on `space`; a "coarse_to_fine" trace entry (its "n_nodes"
+    counts the grid's nodes) leads either trace.
 
     A recursive `solve_system` call solves the problem on the grid of half
-    the resolution, with the operator assembled as `op` was; the coarse u
-    and v, interpolated to the nodes of `space` (op, or its reduced form),
-    start a monotone Newton run there.  By Newton's mesh independence that
-    start lies in the fine grid's quadratic basin.  `_newton_trial` judges
-    the run, with a collapse floor of 1e-6 of the start's sup-norm; the
-    result is None when it is rejected or the coarse level fails.
+    the resolution, with the operator assembled as `space` was; the coarse
+    u and v, interpolated to the nodes of `space`, start a monotone Newton
+    run there.  By Newton's mesh independence that start lies in the fine
+    grid's quadratic basin.  `_newton_trial` judges the run, with a collapse
+    floor of 1e-6 of the start's sup-norm; when it is rejected, or the
+    coarse level fails, the mountain pass runs on `space`.
     """
-    grid = op.grid
+    grid = space.grid
     entry = {"stage": "coarse_to_fine", "resolution": grid.resolution,
-             "n_nodes": grid.n_nodes, "outcome": "", "newton_iters": 0, "krylov": 0}
+             "n_nodes": int(np.sum(grid.multiplicity)), "outcome": "",
+             "newton_iters": 0, "krylov": 0}
     try:
         coarse_grid = build_grid(grid.domain, grid.resolution // 2)
-        coarse = solve_system(assemble(coarse_grid, op.s, op.singular_correction), exps, cfg)
+        coarse = solve_system(assemble(coarse_grid, space.s, space.singular_correction), exps, cfg)
     except (NonconvergenceError, ConfigurationError) as exc:
         entry["outcome"] = f"coarse level failed: {exc}"
-        return None, entry
-    u0, v0 = (interpolate(coarse_grid, w, space.grid.x) for w in (coarse.u, coarse.v))
-    trial = _newton_trial(space, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
-    if trial is None:
-        return None, entry
-    return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations), entry
-
-
-def _on_nodes(pair: SolutionPair, space: FractionalOperator) -> SolutionPair:
-    """A pair computed on `space` as a pair on the grid's nodes."""
-    return replace(pair, u=space.expand(pair.u), v=space.expand(pair.v), symmetry=space.symmetry)
+    else:
+        u0, v0 = (interpolate(coarse_grid, w, grid.x) for w in (coarse.u, coarse.v))
+        trial = _newton_trial(space, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
+        if trial is not None:
+            return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations)
+    fallback = mountain_pass(space, exps, cfg)
+    return replace(fallback, trace=[entry] + fallback.trace)
 
 
 def solve_system(op: FractionalOperator, exps: ExponentPair,
@@ -574,31 +573,26 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     is the expected, reported outcome.
 
     In the superlinear subcritical regime, when half the resolution is at
-    least COARSE_FLOOR, `_coarse_to_fine` runs first, and the mountain pass
-    on op's grid is the fallback when that level is rejected.  Each level
-    adds a "coarse_to_fine" trace entry; nothing is cached between calls.
-    Superlinear runs start from the bump whatever `cfg.init` says.
+    least COARSE_FLOOR, `_coarse_to_fine` runs, one trace entry per level;
+    nothing is cached between calls.  Superlinear runs start from the bump
+    whatever `cfg.init` says.
 
-    With a symmetric start (the bump; a sublinear `zero`), an assembled
-    operator and a grid closed under its lattice group, the sublinear and
-    subcritical solves run on `op.reduced()`: the sublinear solution is
-    unique and the subcritical one is reached by equivariant steps, so both
-    are symmetric.  The pair returns on the grid's nodes with the reduced
-    `symmetry`.  A sublinear `random` start, the critical and supercritical
-    diagnostics (their outcome turns on rounding) and the fallback mountain
-    pass stay in the full space.
+    The space is chosen once: from a symmetric start (the bump; a sublinear
+    `zero`) every stage runs on `op.reduced()`, op itself where there is
+    nothing to reduce.  The sublinear solution is unique and the
+    subcritical one is reached by equivariant steps, so both are symmetric.
+    The pair returns on the grid's nodes with the space's `symmetry`.  A
+    sublinear `random` start and the critical and supercritical diagnostics
+    (their outcome turns on rounding) run on op.
     """
     regime = _regime(op, exps)
     symmetric = (regime == "superlinear_subcritical"
                  or (regime == "sublinear" and cfg.init in ("bump", "zero")))
-    reducible = op.table is not None and op.grid.orbit is not None  # assembled, closed grid
-    space = op.reduced() if symmetric and reducible else op
+    space = op.reduced() if symmetric else op
     if regime == "sublinear":
-        return _on_nodes(minimize_sublinear(space, exps, cfg), space)
-    if regime == "superlinear_subcritical" and op.grid.resolution // 2 >= COARSE_FLOOR:
-        warm, entry = _coarse_to_fine(op, space, exps, cfg)
-        if warm is not None:
-            return _on_nodes(warm, space)
-        fallback = mountain_pass(op, exps, cfg)
-        return replace(fallback, trace=[entry] + fallback.trace)
-    return _on_nodes(mountain_pass(space, exps, cfg), space)
+        pair = minimize_sublinear(space, exps, cfg)
+    elif regime == "superlinear_subcritical" and space.grid.resolution // 2 >= COARSE_FLOOR:
+        pair = _coarse_to_fine(space, exps, cfg)
+    else:
+        pair = mountain_pass(space, exps, cfg)
+    return replace(pair, u=space.expand(pair.u), v=space.expand(pair.v), symmetry=space.symmetry)

@@ -272,6 +272,37 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
     assert "s must be a number, got '1/0'" in err
 
 
+def test_config_flag_and_outdir_take_their_json_types_only(tmp_path, capsys):
+    # a non-empty string such as "false" must not switch the correction on,
+    # and an outdir that is no string must fail before any solving
+    for index, bad in enumerate([{"singular_correction": "false"},
+                                 {"singular_correction": 1},
+                                 {"outdir": 5},
+                                 {"outdir": ["out"]}]):
+        cfg = tmp_path / f"typed{index}.json"
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, **bad}))
+        assert run("solve", "--config", cfg) == 4, bad
+        assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5") == 4, bad
+    assert not (tmp_path / "default_out").exists()
+    err = capsys.readouterr().err
+    assert err.count("singular_correction must be true or false, got 'false'") == 2
+    assert err.count("outdir must be a string, got 5") == 2
+    cfg = tmp_path / "typed.json"
+    for flag in (False, True):
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16,
+                                   "singular_correction": flag, "outdir": str(tmp_path / "ok")}))
+        assert run("solve", "--config", cfg) == 0
+        record = json.loads((tmp_path / "ok" / "record.json").read_text())
+        assert record["input"]["singular_correction"] is flag
+    capsys.readouterr()
+
+
+def test_an_empty_outdir_variable_means_the_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACLANE_OUTDIR", "")
+    assert run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 16) == 0
+    assert (tmp_path / "fraclane_out" / "record.json").exists()
+
+
 def test_validated_defaults_are_the_solver_config_defaults():
     cfg = fraclane.cli._validated({})
     defaults = SolverConfig()

@@ -653,14 +653,18 @@ def _same_pair(a, b) -> bool:
 
 
 def test_rejected_coarse_to_fine_falls_back_to_the_plain_mountain_pass(monkeypatch):
+    # the fallback runs on the level's space, the symmetric subspace
     op = assemble(build_grid(Domain.interval(-1.0, 1.0), 128), 0.25)
     exps = ExponentPair(2.0, 2.0)
-    plain = mountain_pass(op, exps)
+    space = op.reduced()
+    plain = mountain_pass(space, exps)
+    plain = dataclasses.replace(plain, u=space.expand(plain.u), v=space.expand(plain.v))
     # a vanishing start fails the trial's positivity test at once
     monkeypatch.setattr(fraclane.solvers, "interpolate",
                         lambda grid, u, points: np.zeros(len(points)))
     pair = solve_system(op, exps)
     assert _same_pair(pair, plain)
+    assert pair.symmetry == space.symmetry == {"group_order": 2, "orbits": 64}
     assert pair.trace == [{"stage": "coarse_to_fine", "resolution": 128, "n_nodes": 128,
                            "outcome": "lost positivity at iteration 0",
                            "newton_iters": 0, "krylov": 0}] + plain.trace
@@ -676,7 +680,7 @@ def test_rejected_coarse_to_fine_falls_back_to_the_plain_mountain_pass(monkeypat
 
     monkeypatch.setattr(fraclane.solvers, "mountain_pass", failing_below)
     pair = solve_system(op, exps)
-    assert _same_pair(pair, plain)
+    assert _same_pair(pair, plain) and pair.symmetry == space.symmetry
     assert pair.trace[0]["outcome"] == "coarse level failed: coarse failure"
     assert pair.trace[1:] == plain.trace
 

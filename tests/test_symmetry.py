@@ -2,10 +2,12 @@
 S = E^T A E, and the solves that run on it."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fraclane.solvers
 from fraclane import (
     Domain,
     ExponentPair,
@@ -119,13 +121,12 @@ def test_a_node_set_that_is_not_closed_stays_in_the_full_space(monkeypatch):
     grid = build_grid(Domain.disk(1.0), 16)
     monkeypatch.undo()
     assert grid.orbit is None and grid.n_nodes == build_grid(Domain.disk(1.0), 16).n_nodes - 1
-
-    def refuse(self):
-        raise AssertionError("reduced a node set that is not closed")
-
-    monkeypatch.setattr(FractionalOperator, "reduced", refuse)
+    op = assemble(grid, 0.5)
+    assert op.reduced() is op  # nothing to reduce
+    reduced = assemble(build_grid(Domain.disk(1.0), 16), 0.5).reduced()
+    assert reduced.reduced() is reduced  # a reduced form's grid has no orbits either
     for exps in (ExponentPair(0.5, 0.5), ExponentPair(2.0, 2.0)):
-        pair = solve_system(assemble(grid, 0.5), exps)
+        pair = solve_system(op, exps)
         assert pair.accepted and pair.symmetry is None
 
 
@@ -133,8 +134,32 @@ def test_an_operator_given_by_its_matrix_stays_in_the_full_space():
     # nothing says a given matrix commutes with the group
     grid = build_grid(Domain.interval(-1.0, 1.0), 32)
     given = FractionalOperator(grid, 0.5, assemble(grid, 0.5).matrix)
+    assert given.reduced() is given
     pair = solve_system(given, ExponentPair(0.5, 0.5))
     assert pair.accepted and pair.symmetry is None
+
+
+def test_a_rejected_level_falls_back_on_the_subspace_of_the_disk(monkeypatch):
+    """The plain mountain pass after a rejected coarse-to-fine level runs on
+    the 165 orbits of the disk at res 40, agrees with the full-space
+    mountain pass to rounding, and gathers no N x N matrix of the grid."""
+    grid = build_grid(Domain.disk(1.0), 40)
+    op, exps = assemble(grid, 0.5), ExponentPair(2.0, 2.0)
+    # a vanishing start fails the trial's positivity test at once
+    monkeypatch.setattr(fraclane.solvers, "interpolate",
+                        lambda grid, u, points: np.zeros(len(points)))
+    tracemalloc.start()
+    try:
+        pair = solve_system(op, exps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.accepted and pair.trace[0]["outcome"] == "lost positivity at iteration 0"
+    assert pair.symmetry == {"group_order": 8, "orbits": 165}
+    assert peak < grid.n_nodes ** 2 * 8
+    full = mountain_pass(op, exps)
+    assert np.max(np.abs(pair.u - full.u)) <= 1e-10
+    assert np.max(np.abs(pair.v - full.v)) <= 1e-10
 
 
 def test_a_random_start_never_reduces(monkeypatch):
