@@ -12,7 +12,9 @@ shape as a regressor and widens its window like the square root of the
 resolution, which restores convergence under refinement.  All rays with
 at least 4 positive samples are fitted together, with weight 0 on the
 other samples: the quotient by one batched QR, the exponent by the
-closed-form least-squares slope.
+closed-form least-squares slope.  The exponent window lies inside the
+quotient window, so `rellich_residual` samples each function's rays once,
+on one boundary trace, and both fits read those samples.
 """
 
 from __future__ import annotations
@@ -31,16 +33,9 @@ EPS_FLOOR = 1e-14  # relative-residual denominators (the critical case has rhs e
 AUDIT_INVERSE_MAX_NODES = 64  # the audit also checks the dense inverse up to this size
 
 __all__ = [
-    "BoundaryFit",
-    "boundary_quotient",
-    "boundary_exponent_fit",
-    "RellichReport",
-    "rellich_residual",
-    "UniquenessReport",
-    "uniqueness_gap",
-    "AuditReport",
-    "maximum_principle_audit",
-    "operator_invariants",
+    "BoundaryFit", "boundary_quotient", "boundary_exponent_fit",
+    "RellichReport", "rellich_residual", "UniquenessReport", "uniqueness_gap",
+    "AuditReport", "maximum_principle_audit", "operator_invariants",
 ]
 
 
@@ -57,32 +52,33 @@ def _exponent_window(resolution: int) -> tuple:
     return k0, 2 * k0
 
 
-def _ray_samples(grid: Grid, u: np.ndarray, k_lo: int, k_hi: int) -> tuple:
+def _ray_samples(grid: Grid, tr: BoundaryTrace, u: np.ndarray, window: tuple) -> tuple:
     """Samples of the grid function at distances (k-1/2)*h_ray inward from
-    every boundary trace point, k = k_lo..k_hi.  Returns (trace, d, values)
-    with d of shape (K,) and values of shape (B, K).
+    every point of the boundary trace, k over the window.  Returns (trace,
+    window, values), values of shape (B, K).
 
     Each value is the multilinear interpolation of u extended by zero
     (`domains.interpolate`); where a ray runs along a lattice line (1D,
     rectangle sides) it reproduces the node values up to rounding.
     """
-    tr = boundary_trace(grid)
-    dist = (np.arange(k_lo, k_hi + 1) - 0.5) * min(grid.h)
+    dist = (np.arange(window[0], window[1] + 1) - 0.5) * min(grid.h)
     pts = tr.points[:, None, :] - dist[None, :, None] * tr.normals[:, None, :]
-    return tr, dist, interpolate(grid, u, pts)
+    return tr, window, interpolate(grid, u, pts)
 
 
-def _positive_rays(grid: Grid, u: np.ndarray, window: tuple) -> tuple:
-    """Ray samples over the window, split for the masked fits.  Returns
-    (trace, d, ok, w, logs): `ok` flags the rays with at least 4 positive
-    samples, and for those rays only, `w` is the (B_ok, K) 0/1 weight of the
-    positive samples and `logs` their logarithms (0 where the weight is 0).
-    """
-    tr, dist, samples = _ray_samples(grid, u, *window)
+def _positive_rays(grid: Grid, rays: tuple, window: tuple) -> tuple:
+    """The ray samples over `window` (inside theirs), split for the masked
+    fits, bitwise as if sampled over `window` alone.  Returns (d, ok, w, logs):
+    `ok` flags the rays with at least 4 positive samples, and for those rays
+    only, `w` is the (B_ok, K) 0/1 weight of the positive samples and `logs`
+    their logarithms (0 where the weight is 0)."""
+    _, (k_lo, _), samples = rays
+    samples = samples[:, window[0] - k_lo:window[1] - k_lo + 1]
     usable = samples > 0
     ok = np.sum(usable, axis=1) >= 4
     positive = usable[ok]
-    return tr, dist, ok, positive.astype(float), np.log(np.where(positive, samples[ok], 1.0))
+    dist = (np.arange(window[0], window[1] + 1) - 0.5) * min(grid.h)
+    return dist, ok, positive.astype(float), np.log(np.where(positive, samples[ok], 1.0))
 
 
 def _on_ok_rays(ok: np.ndarray, fitted: np.ndarray) -> np.ndarray:
@@ -123,16 +119,20 @@ def boundary_quotient(u: np.ndarray, grid: Grid, s: float) -> BoundaryFit:
     least 4 positive samples is fitted at once, by one batched QR of the
     (B, K, 3) designs whose other samples have weight 0.
     """
-    s = float(s)
     if np.any(u < 0):
         raise ConfigurationError("boundary_quotient expects a nonnegative function")
+    rays = _ray_samples(grid, boundary_trace(grid), u, _quotient_window(grid.resolution))
+    return _quotient_fit(grid, rays, float(s))
+
+
+def _quotient_fit(grid: Grid, rays: tuple, s: float) -> BoundaryFit:
     window = _quotient_window(grid.resolution)
-    tr, dist, ok, w, logu = _positive_rays(grid, u, window)
+    dist, ok, w, logu = _positive_rays(grid, rays, window)
     design = np.stack([np.ones(len(dist)), dist, (dist / min(grid.h)) ** (-(2.0 - 2.0 * s))], axis=1)
     q, r = np.linalg.qr(w[:, :, None] * design)
     qty = np.einsum("bkj,bk->bj", q, w * (logu - s * np.log(dist)))
     coef = np.linalg.solve(r, qty[:, :, None])[:, 0, 0]
-    return BoundaryFit(_on_ok_rays(ok, np.exp(coef)), ok, tr, window)
+    return BoundaryFit(_on_ok_rays(ok, np.exp(coef)), ok, rays[0], window)
 
 
 def boundary_exponent_fit(u: np.ndarray, grid: Grid) -> BoundaryFit:
@@ -145,13 +145,18 @@ def boundary_exponent_fit(u: np.ndarray, grid: Grid) -> BoundaryFit:
         raise ConfigurationError("boundary_exponent_fit expects a nonnegative function")
     if not np.any(u > 0):
         raise ConfigurationError("boundary_exponent_fit expects a nonzero function")
+    rays = _ray_samples(grid, boundary_trace(grid), u, _exponent_window(grid.resolution))
+    return _exponent_fit(grid, rays)
+
+
+def _exponent_fit(grid: Grid, rays: tuple) -> BoundaryFit:
     window = _exponent_window(grid.resolution)
-    tr, dist, ok, w, logu = _positive_rays(grid, u, window)
+    dist, ok, w, logu = _positive_rays(grid, rays, window)
     n = np.sum(w, axis=1, keepdims=True)
     x = np.log(dist) - np.sum(w * np.log(dist), axis=1, keepdims=True) / n
     y = logu - np.sum(w * logu, axis=1, keepdims=True) / n
     slope = np.sum(w * x * y, axis=1) / np.sum(w * x * x, axis=1)
-    return BoundaryFit(_on_ok_rays(ok, slope), ok, tr, window)
+    return BoundaryFit(_on_ok_rays(ok, slope), ok, rays[0], window)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,8 @@ class RellichReport:
     is what rules out positive solutions on star-shaped domains at and above
     the critical curve: the left side is strictly positive there while the
     right side is <= 0.  quotient_u and quotient_v are the mean boundary
-    factors u/d^s and v/d^s of the two fits."""
+    factors u/d^s and v/d^s of the two fits, alpha_u and alpha_v the mean
+    boundary decay exponents fitted from the same ray samples."""
 
     lhs: float
     rhs: float
@@ -182,6 +188,8 @@ class RellichReport:
     boundary_fit_failures: int
     quotient_u: float
     quotient_v: float
+    alpha_u: float
+    alpha_v: float
 
 
 def rellich_residual(pair, exps: ExponentPair, grid: Grid, s: float) -> RellichReport:
@@ -189,18 +197,18 @@ def rellich_residual(pair, exps: ExponentPair, grid: Grid, s: float) -> RellichR
 
     `pair` provides u and v (a SolutionPair or any object with .u/.v).
     """
-    u, v = pair.u, pair.v
+    u, v = np.maximum(pair.u, 0.0), np.maximum(pair.v, 0.0)
     sf = float(s)
-    fit_u = boundary_quotient(np.maximum(u, 0.0), grid, sf)
-    fit_v = boundary_quotient(np.maximum(v, 0.0), grid, sf)
-    tr = fit_u.trace
+    tr, window = boundary_trace(grid), _quotient_window(grid.resolution)
+    rays_u, rays_v = (_ray_samples(grid, tr, w, window) for w in (u, v))
+    fit_u, fit_v = (_quotient_fit(grid, rays, sf) for rays in (rays_u, rays_v))
     both = fit_u.ok & fit_v.ok
     lhs = gamma(1 + sf) ** 2 * float(
         np.sum(fit_u.values[both] * fit_v.values[both] * tr.x_dot_nu[both] * tr.weights[both])
     )
     factor = float(exps.rhs_factor(grid.dim, s))
-    int_uq = grid.integrate(np.maximum(u, 0.0) ** (exps.qf + 1.0))
-    int_vp = grid.integrate(np.maximum(v, 0.0) ** (exps.pf + 1.0))
+    int_uq = grid.integrate(u ** (exps.qf + 1.0))
+    int_vp = grid.integrate(v ** (exps.pf + 1.0))
     rhs = factor * int_uq
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS_FLOOR)
     cross_gap = abs(int_vp - int_uq) / max(int_uq, EPS_FLOOR)
@@ -210,6 +218,8 @@ def rellich_residual(pair, exps: ExponentPair, grid: Grid, s: float) -> RellichR
         corners_dropped=tr.corners_dropped,
         boundary_fit_failures=int(np.sum(~both)),
         quotient_u=fit_u.aggregate, quotient_v=fit_v.aggregate,
+        alpha_u=_exponent_fit(grid, rays_u).aggregate,
+        alpha_v=_exponent_fit(grid, rays_v).aggregate,
     )
 
 

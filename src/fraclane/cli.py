@@ -29,14 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    boundary_exponent_fit,
-    boundary_quotient,  # noqa: F401  (unused here; perfbench/spans.py traces cli.boundary_quotient)
-    maximum_principle_audit,
-    operator_invariants,
-    rellich_residual,
-    uniqueness_gap,
-)
+from .analysis import maximum_principle_audit, operator_invariants, rellich_residual, uniqueness_gap
+from .analysis import boundary_exponent_fit, boundary_quotient  # noqa: F401  (perfbench traces these)
 from .domains import Domain, build_grid
 from .energy import ExponentPair
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
@@ -57,10 +51,11 @@ _DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
 
 def _cast(kind, value, name: str):
     """`kind(value)`, with a malformed value, or one beyond the float range,
-    reported as a configuration error; `int` also rejects a float with a
-    fractional part."""
+    reported as a configuration error; a JSON boolean is not a number, and
+    `int` also rejects a float with a fractional part."""
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
             raise ValueError
         result = kind(value)
         float(result)
@@ -180,9 +175,6 @@ def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None
     def get(source, name):
         return None if source is None else getattr(source, name)
 
-    def decay(w):
-        return None if pair is None else boundary_exponent_fit(np.maximum(w, 0.0), grid).aggregate
-
     def sup(w):
         return None if pair is None else float(np.max(np.abs(w)))
 
@@ -216,8 +208,8 @@ def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None
         "rellich_star_shaped": get(rel, "star_shaped"),
         "rellich_corners_dropped": get(rel, "corners_dropped"),
         "rellich_fit_failures": get(rel, "boundary_fit_failures"),
-        "alpha_u": decay(get(pair, "u")),
-        "alpha_v": decay(get(pair, "v")),
+        "alpha_u": get(rel, "alpha_u"),
+        "alpha_v": get(rel, "alpha_v"),
         "quotient_u": get(rel, "quotient_u"),
         "quotient_v": get(rel, "quotient_v"),
         "uniqueness_gap_u": get(gap, "gap_u"),
@@ -312,13 +304,19 @@ def _write_record(record, outdir: str, stem: str = "record") -> str:
 
 
 def _write_solution(pair, grid, outdir: str, stem: str = "solution") -> str:
+    """The bytes of `np.savetxt` (`%.18e` values, "," delimiter), streamed by
+    row from each column's distinct doubles, formatted once and told apart
+    by bit pattern, so that -0.0 keeps its sign."""
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{stem}.csv")
-    coords = grid.x
-    names = ["x", "y"][: coords.shape[1]]
-    header = ",".join(names + ["u", "v"])
-    data = np.column_stack([coords, pair.u, pair.v])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    cells = []  # per column, each row's text with the separator after it
+    for column, end in zip((*grid.x.T, pair.u, pair.v), [","] * (grid.dim + 1) + ["\n"]):
+        bits, index = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+        text = ["%.18e" % value + end for value in bits.view(float).tolist()]
+        cells.append([text[i] for i in index.tolist()])
+    with open(path, "w") as fh:
+        fh.write(",".join(["x", "y"][:grid.dim] + ["u", "v"]) + "\n")
+        fh.writelines(map("".join, zip(*cells)))
     return path
 
 

@@ -31,6 +31,7 @@ full-space factorizations keep the thread count their results depend on.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -44,12 +45,7 @@ from scipy.special import beta, betainc, gamma
 from .domains import Grid
 from .errors import ConfigurationError
 
-__all__ = [
-    "normalization_constant",
-    "ball_torsion_constant",
-    "FractionalOperator",
-    "assemble",
-]
+__all__ = ["normalization_constant", "ball_torsion_constant", "FractionalOperator", "assemble"]
 
 
 def _openblas_threads(package, pattern: str, suffix: str):
@@ -121,6 +117,14 @@ def _ktotal_1d(h: float, s: float) -> float:
     return (h / 2.0) ** (-2 * s) / s
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple:
+    """`leggauss(m)`, computed once per process; read-only, as it is shared."""
+    nodes, weights = leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _beta_table_2d(k: int, h1: float, h2: float, s: float) -> np.ndarray:
     """Gauss-Legendre integrals of |y|^(-2-2s) over the offset cells
     0 <= k1, k2 <= k but (0, 0), whose entry is 0.
@@ -133,7 +137,7 @@ def _beta_table_2d(k: int, h1: float, h2: float, s: float) -> np.ndarray:
     cheb = np.maximum(k1, k2)
     table = np.zeros((k + 1, k + 1))
     for m, cells in ((12, (cheb > 0) & (cheb <= 2)), (6, (cheb > 2) & (cheb <= 8)), (4, cheb > 8)):
-        gx, gw = leggauss(m)
+        gx, gw = _gauss_legendre(m)
         xs = k1[cells][:, None] * h1 + 0.5 * h1 * gx
         ys = k2[cells][:, None] * h2 + 0.5 * h2 * gx
         r2 = xs[:, :, None] ** 2 + ys[:, None, :] ** 2
@@ -171,7 +175,7 @@ def _second_moments(dim: int, h: tuple, s: float) -> tuple:
         (h1,) = h
         return (2.0 * (h1 / 2.0) ** (2 - 2 * s) / (2 - 2 * s),)
     h1, h2 = h
-    gx, gw = leggauss(48)
+    gx, gw = _gauss_legendre(48)
     corner = np.arctan2(h2, h1)
     cx = cy = 0.0
     for lo, hi, half_side, trig in ((0.0, corner, 0.5 * h1, np.cos),

@@ -3,6 +3,7 @@ identity, uniqueness diagnostics, and the positivity audit."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from fraclane import (
     operator_invariants,
     rellich_residual,
     uniqueness_gap,
+)
+from fraclane.analysis import (
+    _exponent_fit,
+    _exponent_window,
+    _quotient_fit,
+    _quotient_window,
+    _ray_samples,
 )
 from fraclane.cli import _run_solve, _validated
 
@@ -179,6 +187,39 @@ def test_boundary_fits_match_the_per_ray_oracle(domain, res, profiles):
         assert not boundary_quotient(u["half"], grid, 0.5).ok.all()
 
 
+def test_the_exponent_window_lies_inside_the_quotient_window():
+    # what lets one sampling over the quotient window serve both fits
+    for res in range(8, 10 ** 5 + 1):
+        (q_lo, q_hi), (e_lo, e_hi) = _quotient_window(res), _exponent_window(res)
+        assert q_lo <= e_lo <= e_hi <= q_hi, res
+
+
+def _assert_same_fit(got, ref):
+    assert got.window == ref.window
+    assert np.array_equal(got.trace.points, ref.trace.points)
+    assert np.array_equal(got.ok, ref.ok)
+    assert np.array_equal(got.values, ref.values, equal_nan=True)
+
+
+@pytest.mark.parametrize("domain, res", [
+    (Domain.disk(1.0), 40), (Domain.rectangle(2.0, 1.0), 17), (Domain.interval(-1.0, 1.0), 256),
+], ids=["disk-40", "rectangle-17", "interval-256"])
+def test_shared_sample_fits_equal_the_fits_on_their_own_bitwise(domain, res):
+    """Both fits read one sampling over the quotient window, as
+    `rellich_residual` does, and give the standalone fits bit for bit,
+    failed rays (the half-zeroed profile) included."""
+    grid = build_grid(domain, res)
+    tr = boundary_trace(grid)
+    for u in (grid.d ** 0.5 * (1.0 + 0.3 * grid.x[:, 0]),
+              np.where(grid.x[:, -1] > 0.1 * grid.h[-1], grid.d ** 0.4, 0.0)):
+        rays = _ray_samples(grid, tr, u, _quotient_window(res))
+        quotient, exponent = _quotient_fit(grid, rays, 0.5), _exponent_fit(grid, rays)
+        _assert_same_fit(quotient, boundary_quotient(u, grid, 0.5))
+        _assert_same_fit(exponent, boundary_exponent_fit(u, grid))
+        rep = rellich_residual(SimpleNamespace(u=u, v=grid.d ** 0.5), ExponentPair(2, 2), grid, 0.5)
+        assert (rep.quotient_u, rep.alpha_u) == (quotient.aggregate, exponent.aggregate)
+
+
 def test_record_fit_fields_match_the_per_ray_oracle():
     """The record's fit-derived fields on the tiny disk, rebuilt from the
     per-ray oracle fits."""
@@ -203,6 +244,14 @@ def test_record_fit_fields_match_the_per_ray_oracle():
     }
     for key, value in rebuilt.items():
         assert record[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+def test_record_decay_exponents_are_the_standalone_fits_bitwise():
+    cfg = _validated({"domain": {"kind": "disk", "radius": 1.0}, "resolution": 12,
+                      "p": 2, "q": 2, "s": "1/2", "outdir": "unused"})
+    record, pair, grid = _run_solve(cfg)
+    assert record["alpha_u"] == boundary_exponent_fit(np.maximum(pair.u, 0.0), grid).aggregate
+    assert record["alpha_v"] == boundary_exponent_fit(np.maximum(pair.v, 0.0), grid).aggregate
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,18 @@ import importlib
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy
 
 import fraclane.cli
 import fraclane.operator
-from fraclane import Domain, SolverConfig, build_grid
-from fraclane.cli import RECORD_FIELDS, main
+from fraclane import Domain, ExponentPair, SolverConfig, assemble, build_grid, solve_system
+from fraclane.cli import RECORD_FIELDS, _write_solution, main
 from fraclane.errors import NonconvergenceError
 
 pytestmark = pytest.mark.usefixtures("isolated_outdir")
@@ -98,6 +101,59 @@ def test_solve_superlinear_2d_solution_header(tmp_path):
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x,y,u,v"
     assert len(lines) == 1 + record["n_nodes"]
+
+
+def _savetxt_bytes(pair, grid, path) -> bytes:
+    """The writer's oracle: what `np.savetxt` writes for the same columns."""
+    header = ",".join(["x", "y"][:grid.dim] + ["u", "v"])
+    np.savetxt(path, np.column_stack([grid.x, pair.u, pair.v]), delimiter=",",
+               header=header, comments="")
+    return path.read_bytes()
+
+
+def _solution_cases():
+    interval, disk = build_grid(Domain.interval(-1.0, 1.0), 32), build_grid(Domain.disk(1.0), 12)
+    rng = np.random.default_rng(7)
+    signed_zeros = np.where(np.arange(32) % 3 == 0, -0.0, 0.0)
+    subnormal = np.resize([5e-324, -5e-324, 2.5e-310, 1e-320, 0.0, -0.0], disk.n_nodes)
+    special = np.resize([np.inf, -np.inf, np.nan, 1.0], disk.n_nodes)
+    # a full-space pair from a random start: no two values of v coincide
+    fullspace = solve_system(assemble(interval, 0.5), ExponentPair(0.5, 0.5),
+                             SolverConfig(init="random"))
+    assert fullspace.symmetry is None and np.unique(fullspace.v).size == interval.n_nodes
+    return {
+        "1d-signed-zeros-and-constant": (SimpleNamespace(u=signed_zeros, v=np.full(32, 0.25)),
+                                         interval),
+        "1d-random-start-pair": (fullspace, interval),
+        "2d-subnormal-and-distinct": (SimpleNamespace(u=subnormal, v=rng.standard_normal(
+            disk.n_nodes)), disk),
+        "2d-inf-and-nan": (SimpleNamespace(u=special, v=-disk.x[:, 1]), disk),
+    }
+
+
+def test_solution_csv_is_savetxt_byte_for_byte(tmp_path):
+    for name, (pair, grid) in _solution_cases().items():
+        path = Path(_write_solution(pair, grid, str(tmp_path / name)))
+        assert path.read_bytes() == _savetxt_bytes(pair, grid, tmp_path / f"{name}.oracle"), name
+    text = (tmp_path / "1d-signed-zeros-and-constant" / "solution.csv").read_text()
+    assert "-0.000000000000000000e+00" in text and ",0.000000000000000000e+00," in text
+
+
+def test_solution_writer_streams_its_rows(tmp_path):
+    """On the benchmark's disk the writer's traced peak stays well below a
+    whole-file string (about 410 KB); a streamed writer peaks near 120 KB."""
+    cfg = fraclane.cli._validated({"domain": {"kind": "disk", "radius": 1.0}, "resolution": 40,
+                                   "p": 2, "q": 2, "s": 0.5, "outdir": str(tmp_path)})
+    _, pair, grid = fraclane.cli._run_solve(cfg)
+    _write_solution(pair, grid, str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        path = Path(_write_solution(pair, grid, str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _savetxt_bytes(pair, grid, tmp_path / "oracle.csv")
+    assert peak < 200_000, peak
 
 
 def test_solve_second_init_reports_uniqueness_gap(tmp_path):
@@ -295,6 +351,26 @@ def test_config_flag_and_outdir_take_their_json_types_only(tmp_path, capsys):
         record = json.loads((tmp_path / "ok" / "record.json").read_text())
         assert record["input"]["singular_correction"] is flag
     capsys.readouterr()
+
+
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys):
+    # true read as 1 or 1.0: a residual tolerance of 1.0 accepts any pair
+    cases = [{"residual_tol": True, "seed": True, "mp_sweeps": True}]
+    cases += [{key: True} for key in ("residual_tol", "seed", "mp_sweeps", "max_iter",
+                                      "resolution", "s", "n")]
+    for index, bad in enumerate(cases):
+        cfg = tmp_path / f"bool{index}.json"
+        cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, **bad}))
+        assert run("solve", "--config", cfg) == 4, bad
+        assert run("phase-diagram", "--config", cfg, "--pairs", "2:2") == 4, bad
+    for key in ("p", "q"):
+        cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, key: False}))
+        assert run("solve", "--config", cfg) == 4, key
+    assert not (tmp_path / "default_out").exists()
+    err = capsys.readouterr().err
+    assert err.count("residual_tol must be a number, got True") == 2
+    assert err.count("seed must be an integer, got True") == 4  # the first bad key of case 0
+    assert err.count("p must be a number, got False") == 1
 
 
 def test_an_empty_outdir_variable_means_the_default(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve
 
 import fraclane
@@ -24,7 +25,7 @@ from fraclane import (
     build_grid,
     normalization_constant,
 )
-from fraclane.operator import _beta_table_2d, _ktotal_2d, _second_moments
+from fraclane.operator import _beta_table_2d, _gauss_legendre, _ktotal_2d, _second_moments
 from fraclane.solvers import _regime
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,19 @@ def test_planar_cell_masses_match_adaptive_quadrature(s, aspect):
             if (k1, k2) != (0, 0):
                 want = oracles.cell_mass_by_dblquad(k1, k2, h1, h2, s)
                 assert table[k1, k2] == pytest.approx(want, rel=2e-9), (h1, h2, k1, k2)
+
+
+def test_gauss_legendre_rules_are_computed_once_and_shared_read_only(monkeypatch):
+    for m in (4, 6, 12, 48):
+        nodes, weights = _gauss_legendre(m)
+        assert all(np.array_equal(a, b) for a, b in zip((nodes, weights), leggauss(m)))
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+    grid = build_grid(Domain.disk(1.0), 12)
+    table = assemble(grid, 0.5, singular_correction=True).table
+    monkeypatch.setattr(fraclane.operator, "leggauss", None)  # no rule is computed again
+    assert np.array_equal(assemble(grid, 0.5, singular_correction=True).table, table)
 
 
 def test_import_and_planar_assembly_load_no_adaptive_quadrature():
