@@ -98,10 +98,6 @@ class BoundaryFit:
     window: tuple
 
     @property
-    def n_failures(self) -> int:
-        return int(np.sum(~self.ok))
-
-    @property
     def aggregate(self) -> float:
         """Mean over successful points."""
         if not np.any(self.ok):

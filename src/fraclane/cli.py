@@ -20,6 +20,8 @@ included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -42,7 +44,7 @@ EXIT_NONCONVERGENCE = 2
 EXIT_RESONANT = 3
 EXIT_CONFIG = 4
 
-INITS = ("zero", "bump", "random")
+INITS = ("bump", "random")
 # config keys a command-line flag of the same name overrides
 _FLAG_KEYS = ("resolution", "s", "p", "q", "seed", "init", "second_init", "outdir",
               "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
@@ -132,7 +134,8 @@ def _validated(cfg: dict) -> dict:
         "mp_sweeps": _cast(int, cfg.get("mp_sweeps", defaults.mp_sweeps), "mp_sweeps"),
         "residual_tol": _cast(float, cfg.get("residual_tol", defaults.residual_tol),
                               "residual_tol"),
-        "outdir": cfg.get("outdir") or os.environ.get("FRACLANE_OUTDIR") or "fraclane_out",
+        "outdir": (cfg["outdir"] if cfg.get("outdir", "") != ""
+                   else os.environ.get("FRACLANE_OUTDIR") or "fraclane_out"),
     }
     if not 0 < out["residual_tol"] < float("inf"):
         raise ConfigurationError(f"residual_tol must be positive and finite, "
@@ -157,13 +160,8 @@ def _validated(cfg: dict) -> dict:
 
 
 def _solver_config(cfg: dict, init: str) -> SolverConfig:
-    return SolverConfig(
-        max_iter=cfg["max_iter"],
-        mp_sweeps=cfg["mp_sweeps"],
-        residual_tol=cfg["residual_tol"],
-        seed=cfg["seed"],
-        init=init,
-    )
+    settings = {f.name: cfg[f.name] for f in dataclasses.fields(SolverConfig)}
+    return SolverConfig(**dict(settings, init=init))
 
 
 def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None, gap=None,
@@ -435,6 +433,7 @@ def _add_domain_flags(sub):
                      help="enable the central-cell curvature correction")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraclane",

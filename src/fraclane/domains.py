@@ -113,21 +113,6 @@ class Domain:
     def dim(self) -> int:
         return len(self.bounding_box)
 
-    @property
-    def volume(self) -> float:
-        if self.kind == "disk":
-            return np.pi * self.radius**2
-        return math.prod(hi - lo for lo, hi in self.bounding_box)
-
-    @property
-    def perimeter(self) -> float:
-        """Boundary measure; a box face measures the product of the other
-        axes' lengths, so an interval's two endpoints measure 1 each."""
-        if self.kind == "disk":
-            return 2.0 * np.pi * self.radius
-        lengths = [hi - lo for lo, hi in self.bounding_box]
-        return 2.0 * sum(math.prod(lengths[:k] + lengths[k + 1:]) for k in range(self.dim))
-
     def is_star_shaped_wrt_origin(self) -> bool:
         """True iff x . nu(x) > 0 at every boundary point.
 
@@ -200,16 +185,10 @@ class Grid:
     def n_nodes(self) -> int:
         return self.x.shape[0]
 
-    # -- norms and integrals on grid functions -----------------------------
+    # -- integrals of grid functions ----------------------------------------
 
     def integrate(self, u: np.ndarray) -> float:
         return float(np.sum(self.weights * u))
-
-    def lr_norm(self, u: np.ndarray, r: float) -> float:
-        return float(np.sum(self.weights * np.abs(u) ** r) ** (1.0 / r))
-
-    def sup_norm(self, u: np.ndarray) -> float:
-        return float(np.max(np.abs(u))) if len(u) else 0.0
 
 
 def build_grid(domain: Domain, resolution: int) -> Grid:

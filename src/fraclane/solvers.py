@@ -79,7 +79,7 @@ class SolverConfig:
     max_iter: int = 2000                 # ceiling on the sublinear fixed-point steps
     residual_tol: float = 1e-8           # equation-residual acceptance threshold
     seed: int = 0
-    init: str = "bump"                   # zero | bump | random
+    init: str = "bump"                   # bump | random
     mp_sweeps: int = 300                 # mountain-pass sweeps: a ceiling when subcritical
     smoothing_schedule: ClassVar[tuple] = ()  # not a field; read only by perfbench/spans.py
 
@@ -131,8 +131,6 @@ def _regime(op: FractionalOperator, exps: ExponentPair) -> str:
 def initial_guess(grid: Grid, cfg: SolverConfig) -> np.ndarray:
     """Starting state: 'bump' is a paraboloid cap centered in the domain with
     unit sup-norm; 'random' is seeded uniform in [0.1, 1)."""
-    if cfg.init == "zero":
-        return np.zeros(grid.n_nodes)
     if cfg.init == "bump":
         center = np.asarray(grid.domain.center)
         box = grid.domain.bounding_box
@@ -358,9 +356,8 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     After 5, 10, 20, 40, ... steps (`_checkpoint`) a Newton trial starts
     from (u, recover_v(u)) (see `_handoff`); a rejected trial lets the
     iteration resume where it was.  The iteration stops once the increment
-    reaches the rounding floor (at once from a zero start, which is a fixed
-    point), and `max_iter` caps the steps; then the plain capped Newton
-    iteration polishes.  Positivity is asserted on the result, not enforced.
+    reaches the rounding floor, and `max_iter` caps the steps; then the plain
+    capped Newton iteration polishes.  Positivity is asserted, not enforced.
     """
     if _regime(op, exps) != "sublinear":
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
@@ -577,17 +574,17 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     nothing is cached between calls.  Superlinear runs start from the bump
     whatever `cfg.init` says.
 
-    The space is chosen once: from a symmetric start (the bump; a sublinear
-    `zero`) every stage runs on `op.reduced()`, op itself where there is
-    nothing to reduce.  The sublinear solution is unique and the
-    subcritical one is reached by equivariant steps, so both are symmetric.
+    The space is chosen once: from the bump, a symmetric start, every stage
+    runs on `op.reduced()`, op itself where there is nothing to reduce.  The
+    sublinear solution is unique and the subcritical one is reached by
+    equivariant steps, so both are symmetric.
     The pair returns on the grid's nodes with the space's `symmetry`.  A
     sublinear `random` start and the critical and supercritical diagnostics
     (their outcome turns on rounding) run on op.
     """
     regime = _regime(op, exps)
     symmetric = (regime == "superlinear_subcritical"
-                 or (regime == "sublinear" and cfg.init in ("bump", "zero")))
+                 or (regime == "sublinear" and cfg.init == "bump"))
     space = op.reduced() if symmetric else op
     if regime == "sublinear":
         pair = minimize_sublinear(space, exps, cfg)

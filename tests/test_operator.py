@@ -321,7 +321,7 @@ def test_disk_torsion_solve_converges():
         op = assemble(grid, 0.5)
         w = op.solve(np.ones(grid.n_nodes))
         exact = oracles.torsion_solution(grid.x, 2, 0.5)
-        l2s[res] = grid.lr_norm(w - exact, 2.0) / grid.lr_norm(exact, 2.0)
+        l2s[res] = np.sqrt(grid.integrate((w - exact) ** 2) / grid.integrate(exact ** 2))
         bulk = grid.d > 0.25
         bulks[res] = np.max(np.abs((w - exact)[bulk])) / np.max(exact)
     assert l2s[16] > l2s[32] > l2s[64]

@@ -44,9 +44,6 @@ def setup64():
 
 def test_initial_guess_kinds(setup64):
     grid, _ = setup64
-    zero = initial_guess(grid, SolverConfig(init="zero"))
-    assert not zero.any()
-
     bump = initial_guess(grid, SolverConfig(init="bump"))
     assert np.max(bump) == pytest.approx(1.0)
     assert np.all(bump >= 0)
@@ -58,6 +55,10 @@ def test_initial_guess_kinds(setup64):
     assert np.array_equal(r1, r2)
     assert not np.array_equal(r1, r3)
     assert np.all((r1 >= 0.1) & (r1 < 1.0))
+
+    # 0 is a fixed point of the sublinear map, so it is no start
+    with pytest.raises(ConfigurationError, match="unknown initial guess kind 'zero'"):
+        initial_guess(grid, SolverConfig(init="zero"))
 
 
 def test_initial_guess_errors(setup64):
@@ -341,14 +342,6 @@ def test_minimize_2d_asymmetric_random_start_falls_back_then_hands_off():
         assert len(outcomes) >= 2 and "accepted" not in outcomes[:-1]
         assert {o.split(" at ")[0] for o in outcomes[:-1]} <= {"lost positivity",
                                                                "no contraction"}
-
-
-def test_minimize_zero_start_is_reported_not_accepted(setup64):
-    # 0 is a fixed point of the map: the zero start stops after one step
-    _, op = setup64
-    with pytest.raises(NonconvergenceError) as caught:
-        minimize_sublinear(op, ExponentPair(0.5, 0.5), SolverConfig(init="zero"))
-    assert len(_fixed_point_steps(caught.value.trace)) <= 1
 
 
 def test_minimize_rejects_wrong_regimes(setup64):

@@ -175,14 +175,11 @@ def test_a_random_start_never_reduces(monkeypatch):
     monkeypatch.setattr(FractionalOperator, "reduced", counting)
     bump = solve_system(assemble(grid, 0.5), exps)
     assert bump.symmetry == {"group_order": 8, "orbits": 29} and len(calls) == 1
-    with pytest.raises(NonconvergenceError, match="non-positive"):  # 0 is a fixed point
-        solve_system(assemble(grid, 0.5), exps, SolverConfig(init="zero"))
-    assert len(calls) == 2
     for seed in (0, 1):
         pair = solve_system(assemble(grid, 0.5), exps, SolverConfig(init="random", seed=seed))
         assert pair.accepted and pair.symmetry is None
         assert np.max(np.abs(pair.u - bump.u)) <= 1e-10
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p, q", [(3.0, 3.0), (4.0, 4.0)], ids=["critical", "supercritical"])
