@@ -37,14 +37,13 @@ from .domains import Domain, build_grid
 from .energy import ExponentPair
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
 from .operator import assemble
-from .solvers import SolverConfig, solve_system
+from .solvers import INITS, SolverConfig, solve_system
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
 EXIT_RESONANT = 3
 EXIT_CONFIG = 4
 
-INITS = ("bump", "random")
 # config keys a command-line flag of the same name overrides
 _FLAG_KEYS = ("resolution", "s", "p", "q", "seed", "init", "second_init", "outdir",
               "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
@@ -103,7 +102,8 @@ def _load_config(args) -> dict:
 
 
 def _validated(cfg: dict) -> dict:
-    """Fill defaults (the solver's from `SolverConfig`), check types, and
+    """Fill defaults (the solver's from `SolverConfig`), check types and
+    ranges (the solver settings' by building a `SolverConfig`), and
     normalize the input echo."""
     defaults = SolverConfig()
     n = _cast(int, cfg.get("n", 1), "n")
@@ -137,20 +137,11 @@ def _validated(cfg: dict) -> dict:
         "outdir": (cfg["outdir"] if cfg.get("outdir", "") != ""
                    else os.environ.get("FRACLANE_OUTDIR") or "fraclane_out"),
     }
-    if not 0 < out["residual_tol"] < float("inf"):
-        raise ConfigurationError(f"residual_tol must be positive and finite, "
-                                 f"got {out['residual_tol']}")
     for key, kind, expected in (("singular_correction", bool, "true or false"),
                                 ("outdir", str, "a string")):
         if not isinstance(out[key], kind):  # bool("false") is True
             raise ConfigurationError(f"{key} must be {expected}, got {out[key]!r}")
-    if out["seed"] < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {out['seed']}")
-    for key in ("max_iter", "mp_sweeps"):
-        if out[key] < 1:
-            raise ConfigurationError(f"{key} must be at least 1, got {out[key]}")
-    if out["init"] not in INITS:
-        raise ConfigurationError(f"unknown init {out['init']!r} (CLI supports {'|'.join(INITS)})")
+    _solver_config(out, out["init"])  # SolverConfig checks the solver settings
     if out["second_init"] is not None and out["second_init"] not in INITS:
         raise ConfigurationError(f"unknown second_init {out['second_init']!r}")
     unknown = sorted(set(cfg) - set(out) - {"n"})

@@ -26,6 +26,8 @@ expansion E, gathered from the same table without forming A.  S is
 factored with SciPy's OpenBLAS on one thread, since two threads can stall
 for hundreds of milliseconds on a few hundred unknowns (README, "Threads");
 full-space factorizations keep the thread count their results depend on.
+NumPy's OpenBLAS, which computes the products, is left as the environment
+sets it: its gemv gives the same bits at 1 and 2 threads (tests).
 """
 
 from __future__ import annotations
@@ -48,15 +50,15 @@ from .errors import ConfigurationError
 __all__ = ["normalization_constant", "ball_torsion_constant", "FractionalOperator", "assemble"]
 
 
-def _openblas_threads(package, pattern: str, suffix: str):
+def _scipy_blas():
     """(get, set) of the thread count of the scipy-openblas library a Linux
-    wheel of `package` bundles in `<package>.libs` and has loaded, else None
-    (MKL, Accelerate, a system OpenBLAS, another platform)."""
-    for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(pattern):
-        try:  # RTLD_NOLOAD: only the copy the package already loaded
+    SciPy wheel bundles in `scipy.libs` and has loaded, else None (MKL,
+    Accelerate, a system OpenBLAS, another platform)."""
+    for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas-*.so"):
+        try:  # RTLD_NOLOAD: only the copy SciPy already loaded
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get = lib.scipy_openblas_get_num_threads
+            set_threads = lib.scipy_openblas_set_num_threads
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -65,13 +67,7 @@ def _openblas_threads(package, pattern: str, suffix: str):
     return None
 
 
-# NumPy's OpenBLAS runs on one thread, so its spinning workers leave the
-# cores to SciPy's Cholesky (README, "Threads"); NumPy's gemv is bitwise the
-# same at 1 and 2 threads up to N = 2048.
-_NUMPY_BLAS = _openblas_threads(np, "libscipy_openblas64_*.so", "64_")
-if _NUMPY_BLAS is not None:
-    _NUMPY_BLAS[1](1)
-_SCIPY_BLAS = _openblas_threads(scipy, "libscipy_openblas-*.so", "")
+_SCIPY_BLAS = _scipy_blas()
 
 
 def _check_order(s) -> float:

@@ -183,7 +183,7 @@ def test_import_and_planar_assembly_load_no_adaptive_quadrature():
     assert done.stdout.strip() == "False"
 
 
-_POOLS = """
+_POOL_COUNTS = """
 import ctypes, json, os
 from pathlib import Path
 import numpy, scipy.linalg
@@ -200,26 +200,59 @@ def pool(package, pattern, symbol):
 def pools():
     return [pool(numpy, "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
             pool(scipy, "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")]
+"""
 
+_POOLS = _POOL_COUNTS + """
 before = pools()
 import fraclane
 print(json.dumps([before, pools()]))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="wheel OpenBLAS layout is Linux's")
-def test_import_runs_numpy_blas_on_one_thread_and_leaves_scipy_blas_alone():
+def _run_python(code: str, threads: str) -> str:
+    """stdout of `code` in a fresh interpreter on src/ at `threads` OpenBLAS threads."""
     src = Path(fraclane.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
-    done = subprocess.run([sys.executable, "-c", _POOLS], env=env, capture_output=True,
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    before, after = json.loads(done.stdout)
+    return done.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="wheel OpenBLAS layout is Linux's")
+def test_import_leaves_both_blas_pools_alone():
+    before, after = json.loads(_run_python(_POOLS, "2"))
     if None in before:
         pytest.skip("NumPy's or SciPy's BLAS is not the bundled scipy-openblas library")
     if before != [2, 2]:
         pytest.skip(f"OpenBLAS caps the pools at the CPU count: {before}")
-    assert after == [1, 2]
+    assert after == [2, 2]
+
+
+_STACKED_PRODUCTS = _POOL_COUNTS + """
+import hashlib
+import numpy as np
+from fraclane import Domain, assemble, build_grid
+
+digests = []
+for domain, resolution in ((Domain.interval(-1.0, 1.0), 256), (Domain.disk(1.0), 40)):
+    op = assemble(build_grid(domain, resolution), 0.5)
+    stack = np.random.default_rng(5).standard_normal((19, op.n_nodes))
+    digests.append([op.n_nodes, hashlib.sha256(op.apply(stack).tobytes()).hexdigest()])
+print(json.dumps([pools()[0], digests]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="wheel OpenBLAS layout is Linux's")
+def test_stacked_products_are_bitwise_the_same_at_one_and_two_blas_threads():
+    # NumPy's pool follows OPENBLAS_NUM_THREADS, and a record that repeats
+    # across thread counts needs each row of a mountain-pass sweep's stack
+    # (19 rows) to come out with the same bits
+    one, two = (json.loads(_run_python(_STACKED_PRODUCTS, threads)) for threads in "12")
+    if two[0] in (None, 1):
+        pytest.skip(f"NumPy's pool does not run 2 threads here: {two[0]}")
+    assert [n for n, _ in two[1]] == [256, 1264]
+    assert one[1] == two[1]
 
 
 @pytest.mark.parametrize("domain, resolution", [

@@ -57,7 +57,7 @@ def test_initial_guess_kinds(setup64):
     assert np.all((r1 >= 0.1) & (r1 < 1.0))
 
     # 0 is a fixed point of the sublinear map, so it is no start
-    with pytest.raises(ConfigurationError, match="unknown initial guess kind 'zero'"):
+    with pytest.raises(ConfigurationError, match="unknown init 'zero'"):
         initial_guess(grid, SolverConfig(init="zero"))
 
 
@@ -65,6 +65,27 @@ def test_initial_guess_errors(setup64):
     grid, _ = setup64
     with pytest.raises(ConfigurationError):
         initial_guess(grid, SolverConfig(init="nope"))
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"residual_tol": float("nan")}, "residual_tol must be positive and finite, got nan"),
+    ({"residual_tol": -1.0}, "residual_tol must be positive and finite, got -1.0"),
+    ({"residual_tol": float("inf")}, "residual_tol must be positive and finite, got inf"),
+    ({"seed": -1, "init": "random"}, "seed must be nonnegative, got -1"),
+    ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ({"mp_sweeps": -5}, "mp_sweeps must be at least 1, got -5"),
+    ({"init": "zero"}, "unknown init 'zero' (CLI supports bump|random)"),
+], ids=["nan-tol", "negative-tol", "infinite-tol", "negative-seed", "no-steps", "no-sweeps",
+        "zero-init"])
+def test_solver_config_rejects_what_the_cli_rejects(op64, settings, message):
+    # a NaN or negative tolerance ran 150 Newton steps and then reported a
+    # missed tolerance at residuals of 6e-15; a negative seed let NumPy's
+    # ValueError out of a random start
+    with pytest.raises(ConfigurationError) as caught:
+        solve_system(op64, ExponentPair(0.5, 0.5), SolverConfig(**settings))
+    assert str(caught.value) == message
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(SolverConfig(), **settings)
 
 
 def test_recover_v(setup64):
@@ -451,9 +472,10 @@ def _no_handoff(monkeypatch):
 def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
     # The trial after 5 sweeps converges in 7 Newton steps (19 GMRES
     # iterations under its forcing term).  Matvec rows: 6 path maxima of 19
-    # interior rows, 6 gradients, one stationarity (2), 16 Armijo trials,
-    # and the trial's 8 Newton iterates, two rows each (A u and A v), which
-    # also give its floor, residuals and energy.
+    # interior rows, 6 gradients, 16 Armijo trials, and the trial's 8 Newton
+    # iterates, two rows each (A u and A v), which also give its floor,
+    # residuals and energy.  The logged stationarity reads the sweep's
+    # gradient and costs none.
     grid, _ = setup64
     op = assemble(grid, 0.5)
     calls = _count_calls(op, monkeypatch)
@@ -464,20 +486,21 @@ def test_mountain_pass_matvec_and_gradient_counts(setup64, monkeypatch):
     assert handoffs == [(5, "accepted", 7, 19)]
     assert calls["gradient"] == 6  # 5 sweeps run, the 6th stopped by the trial
     assert pair.iterations == 5 + 7
-    assert calls["matvecs"] == 6 * 19 + 6 + 2 + 16 + 16
-    assert calls["apply"] == 46  # the matvecs less 18 rows per path maximum
+    assert calls["matvecs"] == 6 * 19 + 6 + 16 + 16
+    assert calls["apply"] == 44  # the matvecs less 18 rows per path maximum
 
 
 def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     # Without the handoff every sweep of the budget runs.  Per sweep: one
     # product per interior node (reused by the ridge's energy and gradient),
-    # one more inside the gradient, one per Armijo trial, and two per logged
-    # stationarity.  Endpoint energies are never evaluated, and the polish
-    # seed reuses the ridge's product: 3 matvecs fewer per sweep and per
-    # attempt than evaluating every node and the gradient from scratch
-    # (1236 for this case).  The polish evaluates 2 rows per iterate and
-    # nothing more: 5 fewer than recomputing its floor, residuals and
-    # energy.  The 19 interior products of a sweep are one stacked call.
+    # one more inside the gradient and one per Armijo trial; the stationarity
+    # logged every 25 sweeps reads the gradient, 2 fewer than evaluating it
+    # anew.  Endpoint energies are never evaluated, and the polish seed
+    # reuses the ridge's product: 3 matvecs fewer per sweep and per attempt
+    # than evaluating every node and the gradient from scratch (1236 for
+    # this case).  The polish evaluates 2 rows per iterate and nothing more:
+    # 5 fewer than recomputing its floor, residuals and energy.  The 19
+    # interior products of a sweep are one stacked call.
     grid, _ = setup64
     op = assemble(grid, 0.5)
     calls = _count_calls(op, monkeypatch)
@@ -486,8 +509,8 @@ def test_mountain_pass_full_budget_matvec_counts(setup64, monkeypatch):
     assert pair.accepted
     assert not any(e["iter"] == -1 for e in pair.trace)  # one attempt, no restart
     assert calls["gradient"] == 40  # exactly one gradient per sweep
-    assert calls["matvecs"] == 1236 - 3 * 40 - 3 - 5
-    assert calls["apply"] == 1108 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
+    assert calls["matvecs"] == 1236 - 3 * 40 - 3 - 5 - 2 * 2  # logged at sweeps 0 and 25
+    assert calls["apply"] == 1104 - 18 * (40 + 1)  # 41 path maxima, 19 rows each
 
 
 def test_failed_line_search_ends_the_attempt(setup64, monkeypatch):
