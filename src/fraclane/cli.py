@@ -34,10 +34,10 @@ from . import __version__
 from .analysis import maximum_principle_audit, operator_invariants, rellich_residual, uniqueness_gap
 from .analysis import boundary_exponent_fit, boundary_quotient  # noqa: F401  (perfbench traces these)
 from .domains import Domain, build_grid
-from .energy import ExponentPair
+from .energy import ExponentPair, _rational
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
 from .operator import assemble
-from .solvers import INITS, SolverConfig, solve_system
+from .solvers import INITS, SolverConfig, nonresonant_regime, solve_system
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -51,9 +51,9 @@ _DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
 
 
 def _cast(kind, value, name: str):
-    """`kind(value)`, with a malformed value, or one beyond the float range,
-    reported as a configuration error; a JSON boolean is not a number, and
-    `int` also rejects a float with a fractional part."""
+    """`kind(value)` for `int` or `float`, with a malformed value, or one beyond
+    the float range, reported as a configuration error; a JSON boolean is not
+    a number, and `int` also rejects a float with a fractional part."""
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float)
                                        and not value.is_integer()):
@@ -61,14 +61,14 @@ def _cast(kind, value, name: str):
         result = kind(value)
         float(result)
         return result
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+    except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{name} must be {expected}, got {value!r}") from None
 
 
 def _numbers(text: str, name: str, sep: str = ",") -> list:
-    """The exact rationals of a `sep`-separated flag value."""
-    return [_cast(Fraction, item, name) for item in text.split(sep)]
+    """The exact rationals of a `sep`-separated flag value; an empty item is malformed."""
+    return [_rational(item, name) for item in text.split(sep)]
 
 
 def _domain_from_config(cfg: dict) -> Domain:
@@ -123,9 +123,9 @@ def _validated(cfg: dict) -> dict:
     out = {
         "domain": dict(cfg["domain"]),
         "resolution": _cast(int, cfg.get("resolution", 128), "resolution"),
-        "s": _cast(Fraction, cfg.get("s", 0.5), "s"),
-        "p": _cast(Fraction, cfg["p"], "p") if "p" in cfg else None,
-        "q": _cast(Fraction, cfg["q"], "q") if "q" in cfg else None,
+        "s": _rational(cfg.get("s", 0.5), "s"),
+        "p": _rational(cfg["p"], "p") if "p" in cfg else None,
+        "q": _rational(cfg["q"], "q") if "q" in cfg else None,
         "seed": _cast(int, cfg.get("seed", defaults.seed), "seed"),
         "init": cfg.get("init", defaults.init),
         "second_init": cfg.get("second_init"),
@@ -215,12 +215,11 @@ def _record(cfg: dict, verdict=None, regime=None, grid=None, pair=None, rel=None
 RECORD_FIELDS = tuple(_record({}))
 
 
-def _sign_obstructed(regime: str, domain: Domain, rhs_factor: float) -> bool:
+def _sign_obstructed(regime: str, domain: Domain) -> bool:
     """True when the integral identity rules out a positive pair: at or above
     the critical curve the interior factor is <= 0, while on a star-shaped
     domain the boundary term of any positive solution is > 0."""
-    return (regime in ("critical", "supercritical") and domain.is_star_shaped_wrt_origin()
-            and rhs_factor <= 0)
+    return regime in ("critical", "supercritical") and domain.is_star_shaped_wrt_origin()
 
 
 def _operator(cfg: dict):
@@ -237,11 +236,7 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
     if cfg["p"] is None or cfg["q"] is None:
         raise ConfigurationError("config needs exponents 'p' and 'q'")
     exps = ExponentPair(cfg["p"], cfg["q"])
-    regime = exps.regime(_domain_from_config(cfg).dim, cfg["s"])
-    if regime == "resonant":
-        raise ResonantProblemError(
-            "p*q = 1 is resonant (eigenvalue problem); rejected before solving"
-        )
+    regime = nonresonant_regime(exps, _domain_from_config(cfg).dim, cfg["s"])
     if regime != "sublinear":  # superlinear runs start from the bump alone; echo that
         cfg = dict(cfg, init="bump", second_init=None)
     op = operator(cfg)
@@ -249,9 +244,9 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
     try:
         pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]))
     except NonconvergenceError as exc:
-        factor = float(exps.rhs_factor(grid.dim, cfg["s"]))
         verdict = f"nonconvergence: {exc}"
-        if _sign_obstructed(regime, grid.domain, factor):
+        if _sign_obstructed(regime, grid.domain):
+            factor = float(exps.rhs_factor(grid.dim, cfg["s"]))
             verdict = (
                 "nonexistence-consistent: solver did not converge, the domain is "
                 f"star-shaped, and the interior factor {factor:.6g} is <= 0 while the "
@@ -270,7 +265,7 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
             verdict = f"nonconvergence: second start {cfg['second_init']!r} failed: {exc}"
             return _record(cfg, verdict, regime, grid, pair, rel, t0=t0), None, grid
         gap = uniqueness_gap(pair, pair2)
-    if _sign_obstructed(regime, grid.domain, rel.rhs_factor):
+    if _sign_obstructed(regime, grid.domain):
         verdict = (
             "discretization artifact likely: converged to a positive pair, but on a "
             "star-shaped domain the integral identity forbids one in this regime "
@@ -331,7 +326,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p, q, s = (_cast(Fraction, getattr(args, key), key) for key in ("p", "q", "s"))
+    p, q, s = (_rational(getattr(args, key), key) for key in ("p", "q", "s"))
     n = _cast(int, args.n, "dimension")
     exps = ExponentPair(p, q)
     regime = exps.regime(n, s)
@@ -344,8 +339,8 @@ def cmd_classify(args) -> int:
 def cmd_phase_diagram(args) -> int:
     cfg_base = _load_config(args)
     if args.pairs is not None:
-        points = [tuple(_numbers(item, "--pairs item", ":"))
-                  for item in args.pairs.split(",") if item.strip()]
+        items = args.pairs.split(",") if args.pairs else []  # "" is the empty sweep
+        points = [tuple(_numbers(item, "--pairs item", ":")) for item in items]
         if not all(len(pt) == 2 for pt in points):
             raise ConfigurationError("--pairs items must look like p:q")
     else:

@@ -71,10 +71,11 @@ _SCIPY_BLAS = _scipy_blas()
 
 
 def _check_order(s) -> float:
-    s = float(s)
-    if not 0.0 < s < 1.0:
+    """The float of the order `s`, which must lie in (0, 1) as given and as a float."""
+    order = float(s)
+    if not (0 < s < 1 and 0.0 < order < 1.0):
         raise ConfigurationError(f"fractional order must lie in (0,1), got {s}")
-    return s
+    return order
 
 
 def normalization_constant(n: int, s: float) -> float:
@@ -293,7 +294,7 @@ class FractionalOperator:
         """(matrix u)/m, or for a (k, N) stack the k products as rows: one gemv
         per row (matmul over a trailing unit axis), bitwise equal to the
         one-row product, which a GEMM such as u @ A.T is not."""
-        au = self.matrix @ u if np.ndim(u) == 1 else np.matmul(self.matrix, u[..., None])[..., 0]
+        au = np.matmul(self.matrix, u[..., None])[..., 0]
         return au if self.orbit is None else au / self.grid.multiplicity
 
     def factor(self):

@@ -55,6 +55,7 @@ __all__ = [
     "minimize_sublinear",
     "mountain_pass",
     "solve_system",
+    "nonresonant_regime",
 ]
 
 
@@ -62,6 +63,7 @@ ARMIJO = 1e-4            # sufficient-decrease constant
 PATH_NODES = 20          # mountain-pass path segments
 MP_SMOOTHING = 1e-6      # smoothing used during path deformation
 MP_STEP_FRACTION = 0.25  # per-sweep cap on the deformed node's move
+COLLAPSE_FRACTION = 1e-6  # a Newton run below this fraction of its scale collapsed to 0
 MAX_RESTARTS = 3         # mountain-pass collapse restarts
 KRYLOV_MAX_ITER = 60     # GMRES budget of one Newton step
 KRYLOV_RTOL = 1e-12      # GMRES tolerance, relative to the step's right-hand side
@@ -132,14 +134,14 @@ class SolutionPair:
         return self.converged and self.min_u > 0.0 and self.min_v > 0.0
 
 
-def _regime(op: FractionalOperator, exps: ExponentPair) -> str:
-    """The regime of `exps` on op's dimension and order; resonant exponents raise."""
-    regime = exps.regime(op.n, op.s)
+def nonresonant_regime(exps: ExponentPair, n: int, s) -> str:
+    """`exps.regime(n, s)`, with resonant exponents rejected by
+    ResonantProblemError: the one rejection of the solvers and the CLI,
+    which calls it before it builds an operator."""
+    regime = exps.regime(n, s)
     if regime == "resonant":
         raise ResonantProblemError(
-            "p*q = 1: the coupled power system is an eigenvalue problem with no "
-            "isolated positive solution; choose exponents with p*q != 1"
-        )
+            "p*q = 1 is resonant (eigenvalue problem); rejected before solving")
     return regime
 
 
@@ -259,7 +261,7 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
     moves those diagnostics to other outcomes.  A start that is not
     finite raises NonconvergenceError.
     """
-    _regime(op, exps)
+    nonresonant_regime(exps, op.n, op.s)
     p, q = exps.pf, exps.qf
     u = np.asarray(u, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
@@ -310,21 +312,21 @@ def newton_polish(op: FractionalOperator, u: np.ndarray, v: np.ndarray,
                         "newton_polish", it, trace, message)
 
 
-def _collapsed(pair: SolutionPair, floor: float) -> bool:
-    """True unless `pair` is accepted with sup|u| above `floor`."""
-    return not pair.accepted or float(np.max(np.abs(pair.u))) <= floor
+def _collapsed(pair: SolutionPair, scale: float) -> bool:
+    """True unless `pair` is accepted with sup|u| above COLLAPSE_FRACTION * `scale`."""
+    return not pair.accepted or float(np.max(np.abs(pair.u))) <= COLLAPSE_FRACTION * scale
 
 
 def _newton_trial(op: FractionalOperator, u: np.ndarray, v: np.ndarray, exps: ExponentPair,
-                  cfg: SolverConfig, floor: float, entry: dict) -> SolutionPair | None:
-    """A monotone Newton run from (u, v) unless it collapses against `floor`,
+                  cfg: SolverConfig, scale: float, entry: dict) -> SolutionPair | None:
+    """A monotone Newton run from (u, v) unless it collapses at `scale`,
     else None.  A converged run stops at a tolerance of at most
     `cfg.residual_tol`, so a trial that does not collapse is accepted.  The
     trace `entry` gets its "outcome" ("accepted" or the reason for
     rejection) and its Newton and GMRES iteration counts ("newton_iters",
     "krylov")."""
     trial = newton_polish(op, u, v, exps, cfg, _monotone=True)
-    collapsed = _collapsed(trial, floor)
+    collapsed = _collapsed(trial, scale)
     outcome = ((trial.message or "collapsed to a vanishing or non-positive state")
                if collapsed else "accepted")
     entry.update(outcome=outcome, newton_iters=trial.iterations,
@@ -338,13 +340,13 @@ def _checkpoint(steps: int) -> bool:
 
 
 def _handoff(op: FractionalOperator, exps: ExponentPair, cfg: SolverConfig, trace: list,
-             steps: int, u: np.ndarray, progress: dict, floor: float = 0.0):
+             steps: int, u: np.ndarray, progress: dict, scale: float = 0.0):
     """The `_newton_trial` from copies of (u, recover_v(u)) after `steps` steps
     of a solver loop, at a `_checkpoint`: the accepted pair, else None.  It
     is a "newton_handoff" trace entry with the caller's `progress` measures."""
     entry = {"stage": "newton_handoff", "iter": steps, **progress}
     trace.append(entry)
-    return _newton_trial(op, u, recover_v(op, u, exps.qf), exps, cfg, floor, entry)
+    return _newton_trial(op, u, recover_v(op, u, exps.qf), exps, cfg, scale, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +373,7 @@ def minimize_sublinear(op: FractionalOperator, exps: ExponentPair,
     reaches the rounding floor, and `max_iter` caps the steps; then the plain
     capped Newton iteration polishes.  Positivity is asserted, not enforced.
     """
-    if _regime(op, exps) != "sublinear":
+    if nonresonant_regime(exps, op.n, op.s) != "sublinear":
         raise ConfigurationError("minimize_sublinear requires p*q < 1; use mountain_pass")
     p, q = exps.pf, exps.qf
     u = initial_guess(op.grid, cfg)
@@ -472,7 +474,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
     (expected outcome: nonconvergence) and makes no trials, so an early
     Newton convergence cannot pose as a solution.
     """
-    regime = _regime(op, exps)
+    regime = nonresonant_regime(exps, op.n, op.s)
     if regime == "sublinear":
         raise ConfigurationError("mountain_pass requires p*q > 1; use minimize_sublinear")
     eps = MP_SMOOTHING
@@ -499,7 +501,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
             if regime == "superlinear_subcritical" and _checkpoint(sweep):
                 trial = _handoff(op, exps, cfg, trace, sweep, ridge,
                                  {"energy": phi0, "stationarity": float(np.max(np.abs(defect)))},
-                                 floor=1e-6 * t)
+                                 scale=t)
                 if trial is not None:
                     return _finish(trial, "mountain_pass", trace, sweeps_run + sweep)
             # preconditioned by A^{-1}: A is SPD, and this removes its stiffness
@@ -527,7 +529,7 @@ def mountain_pass(op: FractionalOperator, exps: ExponentPair,
         ridge = path[j].copy()
         v0 = np.maximum(smoothed_power(a_ridge, eps, exps.pf), 0.0)
         polished = newton_polish(op, ridge, v0, exps, cfg)
-        if not _collapsed(polished, 1e-6 * t):
+        if not _collapsed(polished, t):
             return _finish(polished, "mountain_pass", trace, sweeps_run)
         t *= 2.0
         sweeps_budget *= 2
@@ -550,9 +552,8 @@ def _coarse_to_fine(space: FractionalOperator, exps: ExponentPair,
     the resolution, with the operator assembled as `space` was; the coarse
     u and v, interpolated to the nodes of `space`, start a monotone Newton
     run there.  By Newton's mesh independence that start lies in the fine
-    grid's quadratic basin.  `_newton_trial` judges the run, with a collapse
-    floor of 1e-6 of the start's sup-norm; when it is rejected, or the
-    coarse level fails, the mountain pass runs on `space`.
+    grid's quadratic basin.  `_newton_trial` judges the run at the scale of
+    the start's sup-norm; when it is rejected, or the coarse level fails, the mountain pass runs on `space`.
     """
     grid = space.grid
     entry = {"stage": "coarse_to_fine", "resolution": grid.resolution,
@@ -565,7 +566,7 @@ def _coarse_to_fine(space: FractionalOperator, exps: ExponentPair,
         entry["outcome"] = f"coarse level failed: {exc}"
     else:
         u0, v0 = (interpolate(coarse_grid, w, grid.x) for w in (coarse.u, coarse.v))
-        trial = _newton_trial(space, u0, v0, exps, cfg, 1e-6 * float(np.max(np.abs(u0))), entry)
+        trial = _newton_trial(space, u0, v0, exps, cfg, float(np.max(np.abs(u0))), entry)
         if trial is not None:
             return _finish(trial, "mountain_pass", coarse.trace + [entry], coarse.iterations)
     fallback = mountain_pass(space, exps, cfg)
@@ -593,7 +594,7 @@ def solve_system(op: FractionalOperator, exps: ExponentPair,
     sublinear `random` start and the critical and supercritical diagnostics
     (their outcome turns on rounding) run on op.
     """
-    regime = _regime(op, exps)
+    regime = nonresonant_regime(exps, op.n, op.s)
     symmetric = (regime == "superlinear_subcritical"
                  or (regime == "sublinear" and cfg.init == "bump"))
     space = op.reduced() if symmetric else op

@@ -6,9 +6,11 @@ import ctypes
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +22,7 @@ import fraclane.cli
 import fraclane.operator
 from fraclane import Domain, ExponentPair, SolverConfig, assemble, build_grid, solve_system
 from fraclane.cli import RECORD_FIELDS, _write_solution, main
-from fraclane.errors import NonconvergenceError
+from fraclane.errors import ConfigurationError, NonconvergenceError, ResonantProblemError
 
 pytestmark = pytest.mark.usefixtures("isolated_outdir")
 
@@ -673,6 +675,33 @@ def test_entry_points_agree_on_a_rational_order(tmp_path, capsys):
     assert (out / "phase_diagram.csv").read_text().splitlines()[2].startswith("1/3,6.0,")
 
 
+def test_entry_points_reject_an_order_whose_float_is_one(tmp_path, capsys):
+    """1 - 2^-60 lies in (0, 1), but the kernel is built from its float, 1.0:
+    every entry point rejects it, quoting it as given, with one message."""
+    near_one = Fraction(2**60 - 1, 2**60)
+    message = f"fractional order must lie in (0,1), got {near_one}"
+    assert run("classify", 2, 2, 1, near_one) == 4
+    out = tmp_path / "near_one"
+    for command in (["solve", "--p", 2, "--q", 2], ["phase-diagram", "--pairs", "2:2"], ["audit"]):
+        assert run(*command, "--resolution", 16, "--s", near_one, "--outdir", out) == 4, command
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"] * 4
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ExponentPair(2, 2).regime(1, near_one)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        assemble(build_grid(Domain.interval(-1.0, 1.0), 16), near_one)
+
+
+def test_solvers_reject_a_resonant_pair_with_the_sweeps_text(tmp_path):
+    out = tmp_path / "resonant"
+    assert run("phase-diagram", "--pairs", "2:1/2", "--resolution", 16, "--outdir", out) == 0
+    (row,) = json.loads((out / "phase_diagram.json").read_text())
+    op = assemble(build_grid(Domain.interval(-1.0, 1.0), 16), 0.5)
+    with pytest.raises(ResonantProblemError) as rejected:
+        solve_system(op, ExponentPair(2, Fraction(1, 2)))
+    assert row["verdict"] == f"resonant-skipped: {rejected.value}"
+
+
 def test_phase_diagram_records_a_bad_point_and_goes_on(tmp_path, capsys):
     out = tmp_path / "bad_point"
     assert run("phase-diagram", "--pairs", "0:1,1/2:1/2", "--resolution", 16,
@@ -773,7 +802,13 @@ def test_phase_diagram_rejects_malformed_number_lists(capsys):
     assert run("phase-diagram", "--p-list", "1", "--q-list", "0.5,b") == 4
     assert run("phase-diagram", "--pairs", "0.5:x") == 4
     assert run("phase-diagram", "--pairs", "0.5:0.5:0.5") == 4
-    capsys.readouterr()
+    # an empty item is malformed in every list; only an empty --pairs is the empty sweep
+    assert run("phase-diagram", "--pairs", ",") == 4
+    assert run("phase-diagram", "--pairs", "0.5:0.5,") == 4
+    assert run("phase-diagram", "--p-list", "0.5,", "--q-list", "1") == 4
+    err = capsys.readouterr().err
+    assert err.count("--pairs item must be a number, got ''") == 2
+    assert "--p-list item must be a number, got ''" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Energy layer: exponent regime arithmetic, smoothed functional, gradient."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -82,8 +83,9 @@ def test_exponents_are_exact_rationals():
     pair = ExponentPair("1/3", 0.1)
     assert pair.p == Fraction(1, 3) and pair.pf == 1 / 3
     assert pair.q == Fraction(0.1) != Fraction(1, 10) and pair.qf == 0.1
-    for bad in (float("nan"), float("inf"), "1/0", "abc", None, "1e400"):
-        with pytest.raises(ConfigurationError):
+    # the CLI's words: a boolean, which Fraction reads as 0 or 1, is not a number either
+    for bad in (float("nan"), float("inf"), "1/0", "abc", None, "1e400", True):
+        with pytest.raises(ConfigurationError, match=re.escape(f"p must be a number, got {bad!r}")):
             ExponentPair(bad, 2)
 
 

@@ -26,7 +26,7 @@ from fraclane import (
     normalization_constant,
 )
 from fraclane.operator import _beta_table_2d, _gauss_legendre, _ktotal_2d, _second_moments
-from fraclane.solvers import _regime
+from fraclane.solvers import nonresonant_regime
 
 # ---------------------------------------------------------------------------
 # normalization constant
@@ -238,7 +238,9 @@ digests = []
 for domain, resolution in ((Domain.interval(-1.0, 1.0), 256), (Domain.disk(1.0), 40)):
     op = assemble(build_grid(domain, resolution), 0.5)
     stack = np.random.default_rng(5).standard_normal((19, op.n_nodes))
-    digests.append([op.n_nodes, hashlib.sha256(op.apply(stack).tobytes()).hexdigest()])
+    singles = np.stack([op.apply(u) for u in stack])
+    digests.append([op.n_nodes] + [hashlib.sha256(products.tobytes()).hexdigest()
+                                   for products in (op.apply(stack), singles)])
 print(json.dumps([pools()[0], digests]))
 """
 
@@ -247,12 +249,13 @@ print(json.dumps([pools()[0], digests]))
 def test_stacked_products_are_bitwise_the_same_at_one_and_two_blas_threads():
     # NumPy's pool follows OPENBLAS_NUM_THREADS, and a record that repeats
     # across thread counts needs each row of a mountain-pass sweep's stack
-    # (19 rows) to come out with the same bits
+    # (19 rows) to come out with the same bits, as each single vector's does
     one, two = (json.loads(_run_python(_STACKED_PRODUCTS, threads)) for threads in "12")
     if two[0] in (None, 1):
         pytest.skip(f"NumPy's pool does not run 2 threads here: {two[0]}")
-    assert [n for n, _ in two[1]] == [256, 1264]
+    assert [n for n, _, _ in two[1]] == [256, 1264]
     assert one[1] == two[1]
+    assert all(stacked == singles for _, stacked, singles in two[1])
 
 
 @pytest.mark.parametrize("domain, resolution", [
@@ -281,8 +284,8 @@ def test_assembly_keeps_an_exact_order_and_builds_from_its_float():
     assert op.s == Fraction(1, 3) and isinstance(op.s, Fraction)
     assert op.matrix.tobytes() == assemble(grid, 1 / 3).matrix.tobytes()
     # on the critical curve at n = 2, s = 1/3; the float of 1/3 is below 1/3, so above the curve
-    assert _regime(op, ExponentPair(2, 2)) == "critical"
-    assert _regime(assemble(grid, 1 / 3), ExponentPair(2, 2)) == "supercritical"
+    assert nonresonant_regime(ExponentPair(2, 2), op.n, op.s) == "critical"
+    assert nonresonant_regime(ExponentPair(2, 2), 2, assemble(grid, 1 / 3).s) == "supercritical"
 
 
 @pytest.mark.parametrize("domain, resolution, bound", [
