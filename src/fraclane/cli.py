@@ -34,9 +34,9 @@ from . import __version__
 from .analysis import maximum_principle_audit, operator_invariants, rellich_residual, uniqueness_gap
 from .analysis import boundary_exponent_fit, boundary_quotient  # noqa: F401  (perfbench traces these)
 from .domains import Domain, build_grid
-from .energy import ExponentPair, _rational
+from .energy import ExponentPair
 from .errors import ConfigurationError, NonconvergenceError, ResonantProblemError
-from .operator import assemble
+from .operator import _rational, assemble
 from .solvers import INITS, SolverConfig, nonresonant_regime, solve_system
 
 EXIT_OK = 0

@@ -19,21 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .operator import FractionalOperator, _check_order
-
-
-def _rational(value, name: str) -> Fraction:
-    """The exact rational of a number or of its text (a float is the dyadic
-    rational it holds).  A boolean, NaN, infinities, malformed text and values
-    beyond the float range, which the solvers compute in, raise."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        exact = Fraction(value)
-        float(exact)
-        return exact
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
+from .operator import FractionalOperator, _check_order, _rational
 
 
 @dataclass(frozen=True)
@@ -76,7 +62,7 @@ class ExponentPair:
         """One of: sublinear, resonant, superlinear_subcritical, critical,
         supercritical.  For n <= 2s there is no critical curve: the factor
         is then positive and every superlinear pair is subcritical."""
-        _check_order(_rational(s, "s"))
+        _check_order(s)
         if n < 1:
             raise ConfigurationError("dimension must be >= 1")
         if self.pq < 1:

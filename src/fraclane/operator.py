@@ -36,6 +36,7 @@ import ctypes
 import functools
 import os
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +71,25 @@ def _scipy_blas():
 _SCIPY_BLAS = _scipy_blas()
 
 
-def _check_order(s) -> float:
-    """The float of the order `s`, which must lie in (0, 1) as given and as a float."""
-    order = float(s)
-    if not (0 < s < 1 and 0.0 < order < 1.0):
+def _rational(value, name: str) -> Fraction:
+    """The exact rational of a number or of its text (a float is the dyadic
+    rational it holds).  A boolean, NaN, infinities, malformed text and values
+    beyond the float range, which the solvers compute in, raise."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        exact = Fraction(value)
+        float(exact)
+        return exact
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
+
+
+def _check_order(s) -> Fraction:
+    """The exact rational of the order `s`, which must lie in (0, 1) as given
+    and as a float."""
+    order = _rational(s, "s")
+    if not (0 < order < 1 and 0.0 < float(order) < 1.0):
         raise ConfigurationError(f"fractional order must lie in (0,1), got {s}")
     return order
 
@@ -86,7 +102,7 @@ def normalization_constant(n: int, s: float) -> float:
     (tests/oracles.py) evaluate that integral directly by adaptive
     quadrature, and the tests compare this closed form against it.
     """
-    s = _check_order(s)
+    s = float(_check_order(s))
     if n not in (1, 2):
         raise ConfigurationError(f"dimension must be 1 or 2, got {n}")
     return 2.0 ** (2 * s) * s * gamma((n + 2 * s) / 2.0) / (np.pi ** (n / 2.0) * gamma(1 - s))
@@ -95,7 +111,7 @@ def normalization_constant(n: int, s: float) -> float:
 def ball_torsion_constant(n: int, s: float) -> float:
     """The constant value the operator gives on (1-|x|^2)_+^s in the unit ball:
     2^(2s) Gamma(1+s) Gamma((n+2s)/2) / Gamma(n/2).  Equals 1 for n=1, s=1/2."""
-    s = _check_order(s)
+    s = float(_check_order(s))
     return 2.0 ** (2 * s) * gamma(1 + s) * gamma((n + 2 * s) / 2.0) / gamma(n / 2.0)
 
 
@@ -224,28 +240,17 @@ class FractionalOperator:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The matrix; A is gathered from the table on first use, about 2^16
+        entries at a time, so no N x N temporary is formed."""
         if self._matrix is None:
-            nodes = np.arange(self.n_nodes)
-            self._matrix = self._summed_rows(nodes, nodes, nodes)
-        return self._matrix
-
-    def _summed_rows(self, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """A's rows at the nodes `rows`, restricted to the nodes `cols` and
-        summed over the runs of columns that begin at `starts`; gathered
-        from the table about 2^16 entries at a time, so no N x N temporary
-        is formed."""
-        pos, center = _positions(self.grid)
-        out = np.empty((len(rows), len(starts)))
-        step = max(1, (1 << 16) // len(cols))
-        for start in range(0, len(rows), step):
-            block = out[start:start + step]
-            index = pos[cols] + (center - pos[rows[start:start + step], None])
-            if len(starts) == len(cols):  # runs of one column: a plain gather
+            pos, center = _positions(self.grid)
+            self._matrix = np.empty((self.n_nodes, self.n_nodes))
+            step = max(1, (1 << 16) // self.n_nodes)
+            for start in range(0, self.n_nodes, step):
+                index = pos + (center - pos[start:start + step, None])
                 # every index is in range; mode="raise" would buffer the output block
-                np.take(self.table, index, out=block, mode="clip")
-            else:
-                np.add.reduceat(np.take(self.table, index), starts, axis=1, out=block)
-        return out
+                np.take(self.table, index, out=self._matrix[start:start + step], mode="clip")
+        return self._matrix
 
     def reduced(self) -> FractionalOperator:
         """The factored form on the symmetric subspace, built anew by every
@@ -253,9 +258,10 @@ class FractionalOperator:
         not commute with the group) or its grid is not closed (`Grid.orbit`).
 
         A is invariant under the group, so (E^T A E)_ij is m_i times the row
-        of A at representative i with its columns summed over orbit j.  The
-        upper triangle is then mirrored row by row, so that S is bitwise
-        symmetric.
+        of A at representative i with its columns summed over orbit j.  Each
+        block of about 2^16 / N representative rows is gathered from the
+        table only over the orbits from the block's first one on; the upper
+        triangle is then mirrored row by row, so that S is bitwise symmetric.
         """
         grid, orbit = self.grid, self.grid.orbit
         if self.table is None or orbit is None:
@@ -264,7 +270,14 @@ class FractionalOperator:
         sizes = np.bincount(orbit)
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         rep = order[starts]  # each orbit's smallest node index
-        matrix = self._summed_rows(rep, order, starts)
+        pos, center = _positions(grid)
+        matrix = np.zeros((len(rep), len(rep)))
+        step = max(1, (1 << 16) // len(order))
+        for start in range(0, len(rep), step):
+            first = starts[start]
+            index = pos[order[first:]] + (center - pos[rep[start:start + step], None])
+            np.add.reduceat(np.take(self.table, index), starts[start:] - first, axis=1,
+                            out=matrix[start:start + step, start:])
         matrix *= sizes[:, None]
         for i in range(len(rep) - 1):
             matrix[i + 1:, i] = matrix[i, i + 1:]
@@ -294,8 +307,7 @@ class FractionalOperator:
         """(matrix u)/m, or for a (k, N) stack the k products as rows: one gemv
         per row (matmul over a trailing unit axis), bitwise equal to the
         one-row product, which a GEMM such as u @ A.T is not."""
-        au = np.matmul(self.matrix, u[..., None])[..., 0]
-        return au if self.orbit is None else au / self.grid.multiplicity
+        return np.matmul(self.matrix, u[..., None])[..., 0] / self.grid.multiplicity
 
     def factor(self):
         """The Cholesky factor of `matrix`, by `cho_factor` on first use; a
@@ -318,8 +330,7 @@ class FractionalOperator:
         as in cho_solve without its checks).  No finiteness scan: the factor
         is of a finite matrix, and a non-finite f gives a non-finite w."""
         factor, lower = self.factor()
-        f = f if self.orbit is None else self.grid.multiplicity * f
-        w, info = self._potrs(factor, f, lower=lower)
+        w, info = self._potrs(factor, self.grid.multiplicity * f, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
         return w
@@ -328,8 +339,9 @@ class FractionalOperator:
 def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOperator:
     """Tabulate the operator's kernel over the lattice offsets of the grid;
     the matrix is gathered from the table when first used.  The operator
-    keeps `s` as given (an exact rational stays exact, for the regime); the
-    kernel uses its float.
+    keeps the exact rational of `s`, for the regime: a float is the dyadic
+    rational it holds and text such as "1/3" is read.  The kernel uses its
+    float.
 
     With `singular_correction` the central cell, which contributes nothing
     for flat functions, adds the analytic kernel second moment times a
@@ -337,7 +349,8 @@ def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOper
     M-matrix sign pattern and matters as s -> 1, where the central cell
     carries most of the operator's mass.
     """
-    order, s = s, _check_order(s)
+    order = _check_order(s)
+    s = float(order)
     c = normalization_constant(grid.dim, s)
     res, dim = grid.resolution, grid.dim
     # kern[|offset| per axis]: c K_total at offset 0, -c beta elsewhere

@@ -267,6 +267,21 @@ def assembled_matrix(grid, s: float, singular_correction: bool = False) -> np.nd
     return matrix
 
 
+def folded_matrix(op) -> np.ndarray:
+    """S = E^T A E of an operator on a closed grid, folded from whole rows of
+    A: every orbit of every representative's row summed, times the
+    representative's orbit size, then the upper triangle mirrored."""
+    orbit = op.grid.orbit
+    order = np.argsort(orbit, kind="stable")
+    sizes = np.bincount(orbit)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    rep = order[starts]
+    folded = np.add.reduceat(op.matrix[np.ix_(rep, order)], starts, axis=1) * sizes[:, None]
+    for i in range(len(rep) - 1):
+        folded[i + 1:, i] = folded[i, i + 1:]
+    return folded
+
+
 # ---------------------------------------------------------------------------
 # reference solvers (oracles for the package's pipelines)
 

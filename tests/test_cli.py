@@ -686,10 +686,11 @@ def test_entry_points_reject_an_order_whose_float_is_one(tmp_path, capsys):
         assert run(*command, "--resolution", 16, "--s", near_one, "--outdir", out) == 4, command
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"] * 4
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        ExponentPair(2, 2).regime(1, near_one)
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        assemble(build_grid(Domain.interval(-1.0, 1.0), 16), near_one)
+    for order in (near_one, str(near_one)):  # the library reads the order's text too
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ExponentPair(2, 2).regime(1, order)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            assemble(build_grid(Domain.interval(-1.0, 1.0), 16), order)
 
 
 def test_solvers_reject_a_resonant_pair_with_the_sweeps_text(tmp_path):

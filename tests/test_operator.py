@@ -3,6 +3,7 @@ against closed-form solutions, and the Green-function probe."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -286,6 +287,23 @@ def test_assembly_keeps_an_exact_order_and_builds_from_its_float():
     # on the critical curve at n = 2, s = 1/3; the float of 1/3 is below 1/3, so above the curve
     assert nonresonant_regime(ExponentPair(2, 2), op.n, op.s) == "critical"
     assert nonresonant_regime(ExponentPair(2, 2), 2, assemble(grid, 1 / 3).s) == "supercritical"
+
+
+def test_assembly_reads_a_text_order_and_rejects_a_non_number():
+    """`assemble` reads s as `ExponentPair.regime` does: text is parsed, a
+    float is kept as the dyadic rational it holds, and anything else is a
+    configuration error at every entry point that takes an order."""
+    grid = build_grid(Domain.disk(1.0), 12)
+    op = assemble(grid, "1/3")
+    assert op.s == Fraction(1, 3) and isinstance(op.s, Fraction)
+    assert op.matrix.tobytes() == assemble(grid, Fraction(1, 3)).matrix.tobytes()
+    half = assemble(grid, 0.5).s
+    assert half == Fraction(1, 2) and isinstance(half, Fraction)
+    for bad in ("x", True):
+        for build in (lambda s: assemble(grid, s), lambda s: normalization_constant(2, s),
+                      lambda s: ball_torsion_constant(2, s)):
+            with pytest.raises(ConfigurationError, match=re.escape(f"s must be a number, got {bad!r}")):
+                build(bad)
 
 
 @pytest.mark.parametrize("domain, resolution, bound", [

@@ -85,6 +85,16 @@ def test_cli_refuses_or_solves_a_tiny_sublinear_pair(tmp_path):
         assert rc == 2
 
 
+@SCALE_BLIND
+def test_cli_accepts_a_large_pair_on_a_rectangle(tmp_path):
+    # sup v is 3.5e7, so Newton stalls at an absolute residual of 3e-7 (1e-14
+    # relative): every attempt misses residual_tol, and the solve exits 2;
+    # with --residual-tol 1e-5 the same run is accepted
+    out = tmp_path / "large"
+    assert main(["solve", "--domain-kind", "rectangle", "--sides", "2", "1", "--resolution", "12",
+                 "--s", "3/4", "--p", "3/10", "--q", "5", "--outdir", str(out)]) == 0
+
+
 def _dilation_cases():
     # L = 1 compares the solver with the bracket; a superlinear pair is its own reference there
     for p, q in ((0.5, 1.9), (0.9, 0.9), (2.0, 2.0)):

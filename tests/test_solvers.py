@@ -4,6 +4,7 @@ path deformation, dispatch, and determinism."""
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -630,6 +631,20 @@ def test_mountain_pass_diagnostic_regimes_make_no_trials(monkeypatch):
             logged = [e["iter"] for e in trace
                       if e["stage"] == f"mountain_pass_restart{k}" and e["iter"] >= 0]
             assert logged == list(range(0, cfg.mp_sweeps * 2**k, 25))
+
+
+def test_a_collapsed_mountain_pass_restarts_and_is_accepted(monkeypatch):
+    # at s = 3/4 on the disk the polish of (5, 5) collapses twice; the third
+    # attempt, with the endpoint and the sweep budget quadrupled, converges
+    op = assemble(build_grid(Domain.disk(1.0), 24), Fraction(3, 4))
+    exps = ExponentPair(5, 5)
+    pair = solve_system(op, exps)
+    assert pair.accepted and pair.method == "mountain_pass"
+    assert [e["stage"] for e in pair.trace if e["iter"] == -1] == [
+        "mountain_pass_restart0", "mountain_pass_restart1"]
+    monkeypatch.setattr(fraclane.solvers, "MAX_RESTARTS", 0)
+    with pytest.raises(NonconvergenceError, match="mountain pass failed after 1 attempts"):
+        solve_system(op, exps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fraclane.solvers
+import oracles
 from fraclane import (
     Domain,
     ExponentPair,
@@ -30,6 +31,8 @@ DOMAINS = [
     (Domain.disk(0.7, center=(0.3, -0.2)), 23, 8),
 ]
 IDS = ["interval", "rectangle", "square", "disk", "offcentre-disk"]
+# the 2:1 rectangle at an odd resolution, whose orbits have 1, 2 and 4 nodes
+ODD_RECTANGLE = (Domain.rectangle(2.0, 1.0), 25, 4)
 
 
 def _full_space(grid):
@@ -82,6 +85,33 @@ def test_reduced_matrix_is_the_folded_operator(domain, resolution, order):
     assert np.array_equal(reduced.apply(stack)[1], reduced.apply(2.0 * x))
     solved = reduced.restrict(op.solve(reduced.expand(x)))
     assert np.max(np.abs(reduced.solve(x) - solved)) <= 1e-13 * np.max(np.abs(solved))
+
+
+@pytest.mark.parametrize("domain, resolution, order", DOMAINS + [ODD_RECTANGLE],
+                         ids=IDS + ["odd-rectangle"])
+def test_the_fold_is_bitwise_the_fold_of_whole_rows(domain, resolution, order):
+    grid = build_grid(domain, resolution)
+    op = assemble(grid, 0.5)
+    assert grid.group_order == order
+    assert np.array_equal(op.reduced().matrix, oracles.folded_matrix(op))
+    if resolution == ODD_RECTANGLE[1]:
+        assert set(np.bincount(grid.orbit)) == {1, 2, 4}
+
+
+def test_the_fold_reads_the_table_on_and_above_the_diagonal_only(monkeypatch):
+    # a row block is gathered over the orbits from its first one on: about
+    # half of the M x N entries that whole rows would read
+    op = assemble(build_grid(Domain.disk(1.0), 128), 0.5)
+    take, read = np.take, []
+
+    def counting(a, indices, *args, **kwargs):
+        if a is op.table:
+            read.append(np.size(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting)
+    reduced = op.reduced()
+    assert 0 < sum(read) <= 0.55 * reduced.n_nodes * op.n_nodes
 
 
 def test_reduced_form_never_builds_the_full_matrix():
