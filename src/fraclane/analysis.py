@@ -266,9 +266,11 @@ class AuditReport:
 
 def maximum_principle_audit(op: FractionalOperator, trials: int = 100,
                             seed: int = 0) -> AuditReport:
-    """Random nonnegative right-hand sides must give strictly positive
-    solutions; on operators of at most AUDIT_INVERSE_MAX_NODES nodes the
-    matrix inverse must also be entrywise nonnegative."""
+    """Random nonnegative right-hand sides (trials >= 1 of them) must give
+    strictly positive solutions; on operators of at most AUDIT_INVERSE_MAX_NODES
+    nodes the matrix inverse must also be entrywise nonnegative."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     n = op.n_nodes
     passes = 0

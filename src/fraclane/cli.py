@@ -7,10 +7,10 @@ Subcommands:
   audit          maximum-principle audit + operator structure checks
 
 Configuration is a JSON file (--config) whose keys match the long option
-names; explicit command-line flags override file values, and a key that no
-option names is a configuration error.  Every record is
-self-describing: re-running `solve` from a record's input echo reproduces
-the numerics bitwise at the same BLAS thread count.
+names; an explicit command-line flag overrides its key of the file, or of
+the file's domain, and a key that no option names is a configuration
+error.  Every record is self-describing: re-running `solve` from a record's
+input echo reproduces the numerics bitwise at the same BLAS thread count.
 
 Exit codes: 0 success, 2 solver nonconvergence or failed audit, 3 resonant
 exponents (p*q = 1), 4 configuration error (a usage error or a malformed value
@@ -44,10 +44,10 @@ EXIT_NONCONVERGENCE = 2
 EXIT_RESONANT = 3
 EXIT_CONFIG = 4
 
-# config keys a command-line flag of the same name overrides
+# config keys, then domain keys, that a command-line flag of the same name (dest) overrides
 _FLAG_KEYS = ("resolution", "s", "p", "q", "seed", "init", "second_init", "outdir",
               "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
-_DOMAIN_FLAG_KEYS = ("endpoints", "sides", "radius", "center")
+_DOMAIN_FLAG_KEYS = ("kind", "endpoints", "sides", "radius", "center")
 
 
 def _cast(kind, value, name: str):
@@ -71,11 +71,19 @@ def _numbers(text: str, name: str, sep: str = ",") -> list:
     return [_rational(item, name) for item in text.split(sep)]
 
 
+def _default_domain(cfg: dict) -> dict:
+    """The domain of a config that names none: the one of its dimension `n`."""
+    n = _cast(int, cfg.get("n", 1), "n")
+    if n == 1:
+        return {"kind": "interval", "endpoints": [-1.0, 1.0]}
+    if n == 2:
+        return {"kind": "disk", "radius": 1.0, "center": [0.0, 0.0]}
+    raise ConfigurationError(f"dimension n={n} not supported (only n = 1 or 2)")
+
+
 def _domain_from_config(cfg: dict) -> Domain:
     dom = cfg.get("domain")
-    if not isinstance(dom, dict):
-        raise ConfigurationError("config needs a 'domain' object with a 'kind'")
-    try:
+    try:  # a domain that is not a JSON object fails here too, as a TypeError
         return Domain(**dom)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid domain {dom!r}: {exc}") from exc
@@ -95,9 +103,12 @@ def _load_config(args) -> dict:
             raise ConfigurationError("config file must contain a JSON object")
     flags = vars(args)
     cfg.update({key: flags[key] for key in _FLAG_KEYS if flags.get(key) is not None})
-    if flags.get("domain_kind"):
-        cfg["domain"] = {"kind": flags["domain_kind"],
-                         **{key: flags[key] for key in _DOMAIN_FLAG_KEYS if flags[key] is not None}}
+    overrides = {key: flags[key] for key in _DOMAIN_FLAG_KEYS if flags.get(key) is not None}
+    if overrides:
+        domain = cfg["domain"] if "domain" in cfg else _default_domain(cfg)
+        if isinstance(domain, dict):  # any other domain is left for _validated to refuse
+            kind = overrides.get("kind", domain.get("kind"))  # another kind starts a new object
+            cfg["domain"] = {**(domain if domain.get("kind", kind) == kind else {}), **overrides}
     return cfg
 
 
@@ -106,20 +117,12 @@ def _validated(cfg: dict) -> dict:
     ranges (the solver settings' by building a `SolverConfig`), and
     normalize the input echo."""
     defaults = SolverConfig()
-    n = _cast(int, cfg.get("n", 1), "n")
     if "domain" not in cfg:
-        if n == 1:
-            cfg["domain"] = {"kind": "interval", "endpoints": [-1.0, 1.0]}
-        elif n == 2:
-            cfg["domain"] = {"kind": "disk", "radius": 1.0, "center": [0.0, 0.0]}
-        else:
-            raise ConfigurationError(f"dimension n={n} not supported (only n = 1 or 2)")
+        cfg["domain"] = _default_domain(cfg)
     domain = _domain_from_config(cfg)
-    if "n" in cfg and n != domain.dim:
-        raise ConfigurationError(
-            f"requested dimension n={n} does not match the given domain "
-            f"(dimension {domain.dim}); only n = 1 or 2 are supported"
-        )
+    if "n" in cfg and _cast(int, cfg["n"], "n") != domain.dim:
+        raise ConfigurationError(f"requested dimension n={cfg['n']} does not match the given "
+                                 f"domain (dimension {domain.dim}); only n = 1 or 2 are supported")
     out = {
         "domain": dict(cfg["domain"]),
         "resolution": _cast(int, cfg.get("resolution", 128), "resolution"),
@@ -228,10 +231,10 @@ def _operator(cfg: dict):
     return assemble(grid, cfg["s"], singular_correction=cfg["singular_correction"])
 
 
-def _run_solve(cfg: dict, operator=_operator) -> tuple:
+def _run_solve(cfg: dict, op=None) -> tuple:
     """Full pipeline for one problem.  Returns (record, pair_or_None, grid);
-    the pair is None when any requested solve failed to converge.
-    `operator(cfg)` supplies the operator."""
+    the pair is None when any requested solve failed to converge.  Without
+    `op`, the config's operator is built once the pair is known nonresonant."""
     t0 = time.perf_counter()
     if cfg["p"] is None or cfg["q"] is None:
         raise ConfigurationError("config needs exponents 'p' and 'q'")
@@ -239,7 +242,7 @@ def _run_solve(cfg: dict, operator=_operator) -> tuple:
     regime = nonresonant_regime(exps, _domain_from_config(cfg).dim, cfg["s"])
     if regime != "sublinear":  # superlinear runs start from the bump alone; echo that
         cfg = dict(cfg, init="bump", second_init=None)
-    op = operator(cfg)
+    op = _operator(cfg) if op is None else op
     grid = op.grid
     try:
         pair = solve_system(op, exps, _solver_config(cfg, cfg["init"]))
@@ -338,16 +341,16 @@ def cmd_classify(args) -> int:
 
 def cmd_phase_diagram(args) -> int:
     cfg_base = _load_config(args)
-    if args.pairs is not None:
+    if args.pairs is None and args.p_list and args.q_list:
+        points = [(p, q) for p in _numbers(args.p_list, "--p-list item")
+                  for q in _numbers(args.q_list, "--q-list item")]
+    elif args.pairs is not None and args.p_list is None and args.q_list is None:
         items = args.pairs.split(",") if args.pairs else []  # "" is the empty sweep
         points = [tuple(_numbers(item, "--pairs item", ":")) for item in items]
         if not all(len(pt) == 2 for pt in points):
             raise ConfigurationError("--pairs items must look like p:q")
     else:
-        if not args.p_list or not args.q_list:
-            raise ConfigurationError("phase-diagram needs --pairs or both --p-list and --q-list")
-        points = [(p, q) for p in _numbers(args.p_list, "--p-list item")
-                  for q in _numbers(args.q_list, "--q-list item")]
+        raise ConfigurationError("phase-diagram needs either --pairs or both --p-list and --q-list")
     # the points differ only in p and q: the shared settings are validated,
     # and the one operator they share is built, before the first point, so
     # a sweep-wide configuration error exits 4 as it does for `solve`
@@ -357,7 +360,7 @@ def cmd_phase_diagram(args) -> int:
     for p, q in points:
         cfg = dict(base, p=p, q=q)
         try:
-            record, _, _ = _run_solve(cfg, lambda _: op)
+            record, _, _ = _run_solve(cfg, op)
         except ResonantProblemError as exc:
             record = _record(cfg, f"resonant-skipped: {exc}", "resonant")
         except ConfigurationError as exc:
@@ -365,18 +368,15 @@ def cmd_phase_diagram(args) -> int:
         records.append(record)
     _write_record(records, base["outdir"], "phase_diagram")
     csv_path = os.path.join(base["outdir"], "phase_diagram.csv")
+    columns = ("p", "q", "regime", "converged", "method", "energy_value", "residual_u",
+               "residual_v", "rellich_rhs_factor", "verdict")
     with open(csv_path, "w") as fh:
-        fh.write("p,q,regime,converged,method,energy_value,residual_u,residual_v,"
-                 "rellich_rhs_factor,verdict\n")
+        fh.write(",".join(columns) + "\n")
         for record in records:
-            inp = record["input"]
             verdict = record["verdict"].splitlines()[0] if record["verdict"] else ""
-            verdict = verdict.replace('"', '""')  # RFC 4180: a quote inside a quoted field doubles
-            fh.write(
-                f"{inp.get('p')},{inp.get('q')},{record['regime']},{record['converged']},"
-                f"{record['method']},{record['energy_value']},{record['residual_u']},"
-                f"{record['residual_v']},{record['rellich_rhs_factor']},\"{verdict}\"\n"
-            )
+            row = dict(record, p=record["input"].get("p"), q=record["input"].get("q"),
+                       verdict='"' + verdict.replace('"', '""') + '"')  # RFC 4180 doubling
+            fh.write(",".join(str(row[column]) for column in columns) + "\n")
     print(f"{len(records)} points -> {csv_path}")
     for record in records:
         inp = record["input"]
@@ -387,11 +387,9 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _validated(_load_config(args))
-    if args.trials < 1:
-        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
-    op = _operator(cfg)
-    struct = operator_invariants(op)
+    op = _operator(cfg)  # a kernel table until used: trials < 1 is refused before any matrix
     audit = maximum_principle_audit(op, trials=args.trials, seed=cfg["seed"])
+    struct = operator_invariants(op)
     for name, value in struct.items():
         print(f"{name}: {'ok' if value else 'FAILED'}")
     print(f"positivity trials: {audit.passes}/{audit.trials} passed")
@@ -406,7 +404,7 @@ def cmd_audit(args) -> int:
 
 def _add_domain_flags(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--domain-kind", choices=["interval", "rectangle", "disk"])
+    sub.add_argument("--domain-kind", dest="kind", choices=["interval", "rectangle", "disk"])
     sub.add_argument("--endpoints", nargs=2, type=float, metavar=("A", "B"))
     sub.add_argument("--sides", nargs=2, type=float, metavar=("LX", "LY"))
     sub.add_argument("--radius", type=float)

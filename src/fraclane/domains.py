@@ -87,7 +87,7 @@ class Domain:
                 raise ConfigurationError("disk needs a positive radius")
             object.__setattr__(self, "radius", float(self.radius))
             half = (self.radius, self.radius)
-        c = tuple(map(float, self.center)) if self.center else (0.0, 0.0)
+        c = (0.0, 0.0) if self.center is None else tuple(map(float, self.center))
         if len(c) != 2:
             raise ConfigurationError(f"{self.kind} center needs 2 coordinates")
         object.__setattr__(self, "center", c)

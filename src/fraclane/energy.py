@@ -170,8 +170,8 @@ def energy_gradient(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
 def euler_lagrange_residual(op: FractionalOperator, u: np.ndarray, exps: ExponentPair,
                             smoothing: float = 0.0) -> float:
     """Sup-norm of the pointwise stationarity defect A sigma_eps(A u) - (u_+)^q,
-    i.e. the gradient with the quadrature weight divided out; the
-    "stationarity" of the mountain-pass trace entries."""
+    i.e. the gradient with the quadrature weight divided out (the mountain
+    pass logs the same max|g / weights| from the gradient it already holds)."""
     p, q = exps.pf, exps.qf
     au = op.apply(u)
     res = op.apply(smoothed_power(au, smoothing, p)) - np.maximum(u, 0.0) ** q

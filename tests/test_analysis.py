@@ -349,6 +349,13 @@ def test_audit_checks_inverse_on_small_operators(op64):
     assert rep.inverse_nonnegative is True
 
 
+def test_audit_takes_at_least_one_trial(op64):
+    # no trial at all would pass vacuously
+    for trials in (0, -3):
+        with pytest.raises(ConfigurationError, match=f"trials must be at least 1, got {trials}"):
+            maximum_principle_audit(op64, trials=trials)
+
+
 def test_audit_passes_on_disk(disk_op32):
     rep = maximum_principle_audit(disk_op32, trials=25, seed=2)
     assert rep.all_passed

@@ -214,6 +214,77 @@ def test_flags_override_config_file(tmp_path):
     assert record["input"]["q"] == 0.25
 
 
+def _solved_domain(tmp_path, config, *flags, p=2, q=2):
+    """Solve at resolution 12 with `config` as the config file; return the
+    exit code and the record, which is None when the run wrote none."""
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "domain_out"
+    code = run("solve", "--config", path, *flags, "--p", p, "--q", q, "--resolution", 12,
+               "--outdir", out)
+    record = out / "record.json"
+    return code, json.loads(record.read_text()) if record.exists() else None
+
+
+def test_a_domain_flag_overrides_its_key_of_the_config_domain(tmp_path):
+    code, record = _solved_domain(tmp_path, {"domain": {"kind": "disk", "radius": 1.0}},
+                                  "--radius", 3)
+    assert code == 0
+    assert record["input"]["domain"] == {"kind": "disk", "radius": 3.0}
+
+
+def test_restating_the_kind_keeps_the_config_center(tmp_path):
+    config = {"domain": {"kind": "disk", "radius": 1.0, "center": [0.3, 0.0]}}
+    code, record = _solved_domain(tmp_path, config, "--domain-kind", "disk", "--radius", 2)
+    assert code == 0
+    assert record["input"]["domain"] == {"kind": "disk", "radius": 2.0, "center": [0.3, 0.0]}
+    # another kind starts a new domain object: nothing of the disk carries over
+    code, record = _solved_domain(tmp_path, config, "--domain-kind", "rectangle",
+                                  "--sides", 2, 1)
+    assert code == 0
+    assert record["input"]["domain"] == {"kind": "rectangle", "sides": [2.0, 1.0]}
+
+
+def test_the_verdict_is_the_one_of_the_restated_off_center_disk(tmp_path):
+    # the origin lies outside the disk of radius 1 about (2, 0), so the
+    # integral identity forbids nothing there: a converged pair is existence
+    config = {"domain": {"kind": "disk", "radius": 1.0, "center": [2.0, 0.0]}}
+    code, record = _solved_domain(tmp_path, config, "--domain-kind", "disk", "--radius", 1,
+                                  p=4, q=4)
+    assert code == 0
+    assert record["input"]["domain"]["center"] == [2.0, 0.0]
+    assert record["regime"] == "supercritical"
+    assert record["verdict"].startswith("existence")
+
+
+def test_a_domain_flag_overrides_the_default_domain_of_n(tmp_path, capsys):
+    code, record = _solved_domain(tmp_path, {"n": 2}, "--radius", 2)
+    assert code == 0
+    assert record["input"]["domain"] == {"kind": "disk", "radius": 2.0, "center": [0.0, 0.0]}
+    # n = 1 means the interval, which takes no radius
+    out = tmp_path / "no_radius"
+    assert run("solve", "--radius", 2, "--p", 2, "--q", 2, "--resolution", 16,
+               "--outdir", out) == 4
+    assert not out.exists()
+    assert "interval does not take radius" in capsys.readouterr().err
+    # restating the default's kind keeps its endpoints
+    out = tmp_path / "interval"
+    assert run("solve", "--domain-kind", "interval", "--p", 2, "--q", 2, "--resolution", 16,
+               "--outdir", out) == 0
+    record = json.loads((out / "record.json").read_text())
+    assert record["input"]["domain"] == {"kind": "interval", "endpoints": [-1.0, 1.0]}
+
+
+def test_a_center_without_coordinates_exits_4(tmp_path, capsys):
+    code, record = _solved_domain(tmp_path, {"domain": {"kind": "disk", "radius": 1.0}},
+                                  "--center")
+    assert (code, record) == (4, None)
+    code, record = _solved_domain(
+        tmp_path, {"domain": {"kind": "disk", "radius": 1.0, "center": []}})
+    assert (code, record) == (4, None)
+    assert capsys.readouterr().err.count("disk center needs 2 coordinates") == 2
+
+
 # ---------------------------------------------------------------------------
 # solve: exit codes
 
@@ -302,6 +373,8 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         {"max_iter": 0},
         {"mp_sweeps": -5},
         {"s": "1/0"},
+        {"domain": None},
+        {"domain": [-1, 1]},
     ]):
         cfg = tmp_path / f"bad{index}.json"
         cfg.write_text(json.dumps({"p": 2, "q": 2, "resolution": 16, **bad}))
@@ -313,6 +386,8 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
         assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5,2:2",
                    "--outdir", out) == 4, bad
         assert not out.exists()
+    # a domain flag leaves a domain that is no JSON object to be refused
+    assert run("solve", "--config", tmp_path / "bad10.json", "--endpoints", -1, 1) == 4
     # a negative seed as a flag, where a random start would use it
     assert run("solve", "--p", 0.5, "--q", 0.5, "--resolution", 16, "--init", "random",
                "--seed", -1, "--outdir", tmp_path / "negative_seed") == 4
@@ -325,10 +400,12 @@ def test_malformed_config_values_exit_4(tmp_path, capsys):
     assert not (tmp_path / "bad_flag").exists()
     err = capsys.readouterr().err
     assert "seed must be nonnegative, got -1" in err
-    assert "--trials must be at least 1, got 0" in err
+    assert "trials must be at least 1, got 0" in err
+    assert "trials must be at least 1, got -3" in err
     assert "max_iter must be at least 1, got 0" in err
     assert "mp_sweeps must be at least 1, got -5" in err
     assert "s must be a number, got '1/0'" in err
+    assert err.count("invalid domain [-1, 1]") == 3
 
 
 def test_config_flag_and_outdir_take_their_json_types_only(tmp_path, capsys):
@@ -762,7 +839,7 @@ def test_phase_diagram_exits_4_on_a_sweep_wide_configuration_error(tmp_path, cap
     """A failed build or an invalid shared setting stops the sweep before its
     first point, as `solve` stops; an empty sweep still succeeds."""
     for bad in (["--resolution", 4], ["--resolution", 32, "--s", 1.5],
-                ["--domain-kind", "interval", "--resolution", 32]):
+                ["--domain-kind", "rectangle", "--resolution", 32]):
         out = tmp_path / "bad"
         assert run("phase-diagram", "--pairs", "0.5:0.5,2:2", *bad, "--outdir", out) == 4, bad
         assert not out.exists()
@@ -796,6 +873,16 @@ def test_phase_diagram_cartesian_lists_and_jobs(tmp_path):
 def test_phase_diagram_requires_a_sweep_definition(capsys):
     assert run("phase-diagram") == 4
     capsys.readouterr()
+
+
+def test_phase_diagram_takes_pairs_or_lists_not_both(tmp_path, capsys):
+    for lists in (["--p-list", 2, "--q-list", 2], ["--p-list", 2], ["--q-list", 2]):
+        out = tmp_path / "both"
+        assert run("phase-diagram", "--pairs", "1/2:1/2", *lists, "--resolution", 16,
+                   "--outdir", out) == 4, lists
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("phase-diagram needs either --pairs or both --p-list and --q-list") == 3
 
 
 def test_phase_diagram_rejects_malformed_number_lists(capsys):

@@ -47,6 +47,13 @@ def test_invalid_domains_rejected():
         Domain.rectangle(0.0, 1.0)
 
 
+def test_only_a_missing_center_means_the_origin():
+    for center in ([], (), (0.0,), (0.0, 0.0, 0.0)):
+        for kind, size in (("disk", {"radius": 1.0}), ("rectangle", {"sides": (2.0, 1.0)})):
+            with pytest.raises(ConfigurationError, match=f"{kind} center needs 2 coordinates"):
+                Domain(kind, center=center, **size)
+    assert Domain("disk", radius=1.0).center == (0.0, 0.0)
+
 
 def test_keys_of_another_kind_rejected():
     for kwargs in ({"kind": "disk", "radius": 1.0, "sides": [5, 5], "endpoints": [0, 3]},
