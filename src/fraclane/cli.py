@@ -6,11 +6,11 @@ Subcommands:
   phase-diagram  run a sweep of (p, q) points, collecting one record each
   audit          maximum-principle audit + operator structure checks
 
-Configuration is a JSON file (--config) whose keys match the long option
-names; an explicit command-line flag overrides its key of the file, or of
-the file's domain, and a key that no option names is a configuration
-error.  Every record is self-describing: re-running `solve` from a record's
-input echo reproduces the numerics bitwise at the same BLAS thread count.
+A subcommand's parser is its input's schema: its JSON config (--config)
+takes `domain`, `n` and the dests of its long options (the domain flags' in
+`domain`), reads each, and refuses any other key; a flag overrides its key.
+Every record is self-describing: re-running `solve` from a record's input
+echo reproduces the numerics bitwise at the same BLAS thread count.
 
 Exit codes: 0 success, 2 solver nonconvergence or failed audit, 3 resonant
 exponents (p*q = 1), 4 configuration error (a usage error or a malformed value
@@ -44,17 +44,22 @@ EXIT_NONCONVERGENCE = 2
 EXIT_RESONANT = 3
 EXIT_CONFIG = 4
 
-# config keys, then domain keys, that a command-line flag of the same name (dest) overrides
-_FLAG_KEYS = ("resolution", "s", "p", "q", "seed", "init", "second_init", "outdir",
-              "singular_correction", "max_iter", "mp_sweeps", "residual_tol")
+# the parsers' dests that name no config key, and those that name a key of its `domain`
+_NOT_CONFIG = ("command", "func", "config", "jobs")
 _DOMAIN_FLAG_KEYS = ("kind", "endpoints", "sides", "radius", "center")
 
 
 def _cast(kind, value, name: str):
-    """`kind(value)` for `int` or `float`, with a malformed value, or one beyond
-    the float range, reported as a configuration error; a JSON boolean is not
-    a number, and `int` also rejects a float with a fractional part."""
+    """`value` as a `kind`: its exact rational for `Fraction`, `kind(value)` for `int` or
+    `float`, the value itself for `bool` or `str`; else a configuration error.  A value beyond
+    the float range, a JSON boolean as a number, and a fractional `int` are errors too."""
+    if kind is Fraction:
+        return _rational(value, name)
     try:
+        if kind in (bool, str):  # bool("false") is True
+            if isinstance(value, kind):
+                return value
+            raise TypeError
         if isinstance(value, bool) or (kind is int and isinstance(value, float)
                                        and not value.is_integer()):
             raise ValueError
@@ -62,7 +67,7 @@ def _cast(kind, value, name: str):
         float(result)
         return result
     except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
+        expected = {int: "an integer", bool: "true or false", str: "a string"}.get(kind, "a number")
         raise ConfigurationError(f"{name} must be {expected}, got {value!r}") from None
 
 
@@ -89,72 +94,69 @@ def _domain_from_config(cfg: dict) -> Domain:
         raise ConfigurationError(f"invalid domain {dom!r}: {exc}") from exc
 
 
+@functools.cache
+def _option_keys(command: str) -> tuple:
+    """A subcommand's option keys: its long options' dests but the domain flags'."""
+    dests = vars(build_parser().parse_args([command]))
+    return tuple(key for key in dests if key not in _NOT_CONFIG + _DOMAIN_FLAG_KEYS)
+
+
 def _load_config(args) -> dict:
+    """The validated config of `args`' subcommand: its file, each key overridden by its flag."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise ConfigurationError(f"cannot read config file as JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigurationError("config file must contain a JSON object")
     flags = vars(args)
-    cfg.update({key: flags[key] for key in _FLAG_KEYS if flags.get(key) is not None})
+    cfg.update({key: flags[key] for key in _option_keys(args.command) if flags[key] is not None})
     overrides = {key: flags[key] for key in _DOMAIN_FLAG_KEYS if flags.get(key) is not None}
     if overrides:
         domain = cfg["domain"] if "domain" in cfg else _default_domain(cfg)
         if isinstance(domain, dict):  # any other domain is left for _validated to refuse
             kind = overrides.get("kind", domain.get("kind"))  # another kind starts a new object
             cfg["domain"] = {**(domain if domain.get("kind", kind) == kind else {}), **overrides}
-    return cfg
+    return _validated(cfg, args.command)
 
 
-def _validated(cfg: dict) -> dict:
-    """Fill defaults (the solver's from `SolverConfig`), check types and
-    ranges (the solver settings' by building a `SolverConfig`), and
-    normalize the input echo."""
-    defaults = SolverConfig()
+def _validated(cfg: dict, command: str = "solve") -> dict:
+    """The config of `command` (`domain`, `n`, `_option_keys`) with defaults
+    filled (the solver's from `SolverConfig`), types and ranges checked (the
+    solver settings' by a `SolverConfig`) and any other key refused."""
     if "domain" not in cfg:
         cfg["domain"] = _default_domain(cfg)
     domain = _domain_from_config(cfg)
     if "n" in cfg and _cast(int, cfg["n"], "n") != domain.dim:
         raise ConfigurationError(f"requested dimension n={cfg['n']} does not match the given "
                                  f"domain (dimension {domain.dim}); only n = 1 or 2 are supported")
-    out = {
-        "domain": dict(cfg["domain"]),
-        "resolution": _cast(int, cfg.get("resolution", 128), "resolution"),
-        "s": _rational(cfg.get("s", 0.5), "s"),
-        "p": _rational(cfg["p"], "p") if "p" in cfg else None,
-        "q": _rational(cfg["q"], "q") if "q" in cfg else None,
-        "seed": _cast(int, cfg.get("seed", defaults.seed), "seed"),
-        "init": cfg.get("init", defaults.init),
-        "second_init": cfg.get("second_init"),
-        "singular_correction": cfg.get("singular_correction", False),
-        "max_iter": _cast(int, cfg.get("max_iter", defaults.max_iter), "max_iter"),
-        "mp_sweeps": _cast(int, cfg.get("mp_sweeps", defaults.mp_sweeps), "mp_sweeps"),
-        "residual_tol": _cast(float, cfg.get("residual_tol", defaults.residual_tol),
-                              "residual_tol"),
-        "outdir": (cfg["outdir"] if cfg.get("outdir", "") != ""
-                   else os.environ.get("FRACLANE_OUTDIR") or "fraclane_out"),
-    }
-    for key, kind, expected in (("singular_correction", bool, "true or false"),
-                                ("outdir", str, "a string")):
-        if not isinstance(out[key], kind):  # bool("false") is True
-            raise ConfigurationError(f"{key} must be {expected}, got {out[key]!r}")
-    _solver_config(out, out["init"])  # SolverConfig checks the solver settings
-    if out["second_init"] is not None and out["second_init"] not in INITS:
+    # each option key's type and default (the solver's from `SolverConfig`); None allows null
+    schema = {"resolution": (int, 128), "s": (Fraction, 0.5), "p": (Fraction, None),
+              "q": (Fraction, None), "second_init": (str, None), "trials": (int, 100),
+              "singular_correction": (bool, False), "outdir": (str, ""), "pairs": (str, None),
+              "p_list": (str, None), "q_list": (str, None),
+              **{f.name: (type(f.default), f.default) for f in dataclasses.fields(SolverConfig)}}
+    out = {"domain": dict(cfg["domain"])}
+    for key in _option_keys(command):
+        kind, default = schema[key]
+        value = cfg.get(key, default)
+        out[key] = None if value is None and default is None else _cast(kind, value, key)
+    if "outdir" in out:  # "" means the default
+        out["outdir"] = out["outdir"] or os.environ.get("FRACLANE_OUTDIR") or "fraclane_out"
+    _solver_config(out, out.get("init", SolverConfig.init))  # checks the solver settings
+    if out.get("second_init") is not None and out["second_init"] not in INITS:
         raise ConfigurationError(f"unknown second_init {out['second_init']!r}")
-    unknown = sorted(set(cfg) - set(out) - {"n"})
+    unknown = sorted(set(cfg) - {"domain", "n", *out})
     if unknown:
         raise ConfigurationError(f"unknown config keys {', '.join(map(repr, unknown))}")
     return out
 
 
 def _solver_config(cfg: dict, init: str) -> SolverConfig:
-    settings = {f.name: cfg[f.name] for f in dataclasses.fields(SolverConfig)}
+    settings = {f.name: cfg[f.name] for f in dataclasses.fields(SolverConfig) if f.name in cfg}
     return SolverConfig(**dict(settings, init=init))
 
 
@@ -250,13 +252,10 @@ def _run_solve(cfg: dict, op=None) -> tuple:
         verdict = f"nonconvergence: {exc}"
         if _sign_obstructed(regime, grid.domain):
             factor = float(exps.rhs_factor(grid.dim, cfg["s"]))
-            verdict = (
-                "nonexistence-consistent: solver did not converge, the domain is "
-                f"star-shaped, and the interior factor {factor:.6g} is <= 0 while the "
-                "boundary term of the integral identity is positive for any positive "
-                "solution; consistent with nonexistence (not a proof). "
-                f"Detail: {exc}"
-            )
+            verdict = ("nonexistence-consistent: solver did not converge, the domain is star-"
+                       f"shaped, and the interior factor {factor:.6g} is <= 0 while the boundary "
+                       "term of the integral identity is positive for any positive solution; "
+                       f"consistent with nonexistence (not a proof). Detail: {exc}")
         return _record(cfg, verdict, regime, grid, t0=t0), None, grid
     rel = rellich_residual(pair, exps, grid, cfg["s"])
     gap = None
@@ -269,13 +268,11 @@ def _run_solve(cfg: dict, op=None) -> tuple:
             return _record(cfg, verdict, regime, grid, pair, rel, t0=t0), None, grid
         gap = uniqueness_gap(pair, pair2)
     if _sign_obstructed(regime, grid.domain):
-        verdict = (
-            "discretization artifact likely: converged to a positive pair, but on a "
-            "star-shaped domain the integral identity forbids one in this regime "
-            f"(boundary term {rel.lhs:.6g} > 0 against interior factor "
-            f"{rel.rhs_factor:.6g} <= 0, identity residual {rel.residual:.3g}); "
-            "expect the pair to degenerate under refinement"
-        )
+        verdict = ("discretization artifact likely: converged to a positive pair, but on a "
+                   "star-shaped domain the integral identity forbids one in this regime "
+                   f"(boundary term {rel.lhs:.6g} > 0 against interior factor "
+                   f"{rel.rhs_factor:.6g} <= 0, identity residual {rel.residual:.3g}); "
+                   "expect the pair to degenerate under refinement")
     else:
         verdict = "existence: converged to a positive pair with accepted residuals"
     return _record(cfg, verdict, regime, grid, pair, rel, gap, t0), pair, grid
@@ -312,7 +309,7 @@ def _write_solution(pair, grid, outdir: str, stem: str = "solution") -> str:
 
 
 def cmd_solve(args) -> int:
-    cfg = _validated(_load_config(args))
+    cfg = _load_config(args)
     record, pair, grid = _run_solve(cfg)
     rec_path = _write_record(record, cfg["outdir"])
     if pair is not None:
@@ -330,31 +327,26 @@ def cmd_solve(args) -> int:
 
 def cmd_classify(args) -> int:
     p, q, s = (_rational(getattr(args, key), key) for key in ("p", "q", "s"))
-    n = _cast(int, args.n, "dimension")
-    exps = ExponentPair(p, q)
-    regime = exps.regime(n, s)
-    factor = exps.rhs_factor(n, s)
-    print(f"regime: {regime}")
-    print(f"rhs_factor: {float(factor):.12g}")
+    n, exps = _cast(int, args.n, "dimension"), ExponentPair(p, q)
+    print(f"regime: {exps.regime(n, s)}\nrhs_factor: {float(exps.rhs_factor(n, s)):.12g}")
     return EXIT_OK
 
 
 def cmd_phase_diagram(args) -> int:
-    cfg_base = _load_config(args)
-    if args.pairs is None and args.p_list and args.q_list:
-        points = [(p, q) for p in _numbers(args.p_list, "--p-list item")
-                  for q in _numbers(args.q_list, "--q-list item")]
-    elif args.pairs is not None and args.p_list is None and args.q_list is None:
-        items = args.pairs.split(",") if args.pairs else []  # "" is the empty sweep
+    # the points differ only in p and q: the shared settings and operator are
+    # made before the first point, so a sweep-wide error exits 4 as for `solve`
+    base = _load_config(args)
+    pairs, p_list, q_list = (base.pop(key) for key in ("pairs", "p_list", "q_list"))
+    if pairs is None and p_list and q_list:
+        points = [(p, q) for p in _numbers(p_list, "--p-list item")
+                  for q in _numbers(q_list, "--q-list item")]
+    elif pairs is not None and p_list is None and q_list is None:
+        items = pairs.split(",") if pairs else []  # "" is the empty sweep
         points = [tuple(_numbers(item, "--pairs item", ":")) for item in items]
         if not all(len(pt) == 2 for pt in points):
             raise ConfigurationError("--pairs items must look like p:q")
     else:
         raise ConfigurationError("phase-diagram needs either --pairs or both --p-list and --q-list")
-    # the points differ only in p and q: the shared settings are validated,
-    # and the one operator they share is built, before the first point, so
-    # a sweep-wide configuration error exits 4 as it does for `solve`
-    base = _validated({key: value for key, value in cfg_base.items() if key not in ("p", "q")})
     op = _operator(base)
     records = []
     for p, q in points:
@@ -379,16 +371,15 @@ def cmd_phase_diagram(args) -> int:
             fh.write(",".join(str(row[column]) for column in columns) + "\n")
     print(f"{len(records)} points -> {csv_path}")
     for record in records:
-        inp = record["input"]
         status = "ok" if record["converged"] else (record["regime"] or "failed")
-        print(f"  p={inp.get('p')} q={inp.get('q')}: {status}")
+        print(f"  p={record['input']['p']} q={record['input']['q']}: {status}")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    cfg = _validated(_load_config(args))
+    cfg = _load_config(args)
     op = _operator(cfg)  # a kernel table until used: trials < 1 is refused before any matrix
-    audit = maximum_principle_audit(op, trials=args.trials, seed=cfg["seed"])
+    audit = maximum_principle_audit(op, trials=cfg["trials"], seed=cfg["seed"])
     struct = operator_invariants(op)
     for name, value in struct.items():
         print(f"{name}: {'ok' if value else 'FAILED'}")
@@ -396,9 +387,8 @@ def cmd_audit(args) -> int:
     if audit.inverse_nonnegative is not None:
         print(f"inverse entrywise nonnegative: {'ok' if audit.inverse_nonnegative else 'FAILED'}")
     good = all(struct.values()) and audit.all_passed and audit.inverse_nonnegative in (None, True)
-    if not good and audit.witnesses:
-        for witness in audit.witnesses[:5]:
-            print(f"  witness: trial {witness['trial']} min={witness['min_value']:.3e}")
+    for witness in [] if good else audit.witnesses[:5]:
+        print(f"  witness: trial {witness['trial']} min={witness['min_value']:.3e}")
     return EXIT_OK if good else EXIT_NONCONVERGENCE
 
 
@@ -412,9 +402,19 @@ def _add_domain_flags(sub):
     sub.add_argument("--resolution", type=int)
     sub.add_argument("--s", help="fractional order in (0,1) (accepts fractions like 1/3)")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--outdir", help="output directory (default $FRACLANE_OUTDIR or ./fraclane_out)")
     sub.add_argument("--singular-correction", action="store_true", default=None,
                      help="enable the central-cell curvature correction")
+
+
+def _add_solver_flags(sub):
+    """The flags of the subcommands that solve: the solver settings and where records go."""
+    sub.add_argument("--init", choices=INITS, help="sublinear regime: start of the fixed-point map")
+    sub.add_argument("--second-init", choices=INITS,
+                     help="sublinear regime: run a second solve from this start and report the gap")
+    sub.add_argument("--max-iter", type=int)
+    sub.add_argument("--mp-sweeps", type=int)
+    sub.add_argument("--residual-tol", type=float)
+    sub.add_argument("--outdir", help="output directory (default $FRACLANE_OUTDIR or fraclane_out)")
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -430,13 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(sol)
     sol.add_argument("--p", help="first exponent (accepts fractions like 1/3)")
     sol.add_argument("--q", help="second exponent")
-    sol.add_argument("--init", choices=INITS, help="sublinear regime: start of the fixed-point map")
-    sol.add_argument("--second-init", dest="second_init", choices=INITS,
-                     help="sublinear regime: run a second solve from this start "
-                          "and report the gap")
-    sol.add_argument("--max-iter", dest="max_iter", type=int)
-    sol.add_argument("--mp-sweeps", dest="mp_sweeps", type=int)
-    sol.add_argument("--residual-tol", dest="residual_tol", type=float)
+    _add_solver_flags(sol)
     sol.set_defaults(func=cmd_solve)
 
     cls = subs.add_parser("classify", help="print regime and rhs factor for (p, q, n, s)")
@@ -449,16 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     pha = subs.add_parser("phase-diagram", help="sweep (p, q) points and tabulate outcomes")
     _add_domain_flags(pha)
     pha.add_argument("--pairs", help="comma-separated p:q list, e.g. 0.5:0.5,1/3:6")
-    pha.add_argument("--p-list", dest="p_list", help="comma-separated p values (cartesian with --q-list)")
-    pha.add_argument("--q-list", dest="q_list", help="comma-separated q values")
-    # accepted and ignored, since the points run one after another:
-    # perfbench/workloads.py still passes --jobs 1
-    pha.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+    pha.add_argument("--p-list", help="comma-separated p values (cartesian with --q-list)")
+    pha.add_argument("--q-list", help="comma-separated q values")
+    _add_solver_flags(pha)
+    # the points run one after another: 1 (perfbench/workloads.py passes it) is the only value
+    pha.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
     pha.set_defaults(func=cmd_phase_diagram)
 
     aud = subs.add_parser("audit", help="maximum principle audit + operator structure checks")
     _add_domain_flags(aud)
-    aud.add_argument("--trials", type=int, default=100)
+    aud.add_argument("--trials", type=int, help="random right-hand sides (default 100)")
     aud.set_defaults(func=cmd_audit)
     return parser
 

@@ -71,10 +71,8 @@ class Domain:
             if not b > a:
                 raise ConfigurationError("interval endpoints must satisfy a < b")
             object.__setattr__(self, "endpoints", (a, b))
-            object.__setattr__(self, "center", ((a + b) / 2.0,))
-            object.__setattr__(self, "bounding_box", ((a, b),))
-            return
-        if self.kind == "rectangle":
+            c, box = ((a + b) / 2.0,), ((a, b),)
+        elif self.kind == "rectangle":
             if self.sides is None or len(self.sides) != 2:
                 raise ConfigurationError("rectangle needs sides=(lx, ly)")
             lx, ly = map(float, self.sides)
@@ -87,11 +85,17 @@ class Domain:
                 raise ConfigurationError("disk needs a positive radius")
             object.__setattr__(self, "radius", float(self.radius))
             half = (self.radius, self.radius)
-        c = (0.0, 0.0) if self.center is None else tuple(map(float, self.center))
-        if len(c) != 2:
-            raise ConfigurationError(f"{self.kind} center needs 2 coordinates")
+        if self.kind != "interval":  # a box or disk about its center, by default the origin
+            c = (0.0, 0.0) if self.center is None else tuple(map(float, self.center))
+            if len(c) != 2:
+                raise ConfigurationError(f"{self.kind} center needs 2 coordinates")
+            box = tuple((x - w, x + w) for x, w in zip(c, half))
+        # squares must be finite, and squared widths normal: the kernel takes powers of widths
+        if not all(math.isfinite(lo * lo + hi * hi)
+                   and np.finfo(float).tiny <= (hi - lo) * (hi - lo) < math.inf for lo, hi in box):
+            raise ConfigurationError(f"{self.kind} {box} leaves the float range when squared")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "bounding_box", tuple((x - w, x + w) for x, w in zip(c, half)))
+        object.__setattr__(self, "bounding_box", box)
 
     # -- constructors ------------------------------------------------------
 

@@ -368,4 +368,6 @@ def assemble(grid: Grid, s, singular_correction: bool = False) -> FractionalOper
             kern[tuple(np.eye(dim, dtype=int)[axis])] -= coeff
     # mirrored to every signed offset and flattened
     table = kern[np.ix_(*[np.abs(np.arange(1 - res, res))] * dim)].ravel()
+    if not np.isfinite(table).all():  # cells too small for the float range
+        raise ConfigurationError(f"kernel of cells {grid.h} at order {order} is out of float range")
     return FractionalOperator(grid, order, None, singular_correction, table)

@@ -341,15 +341,128 @@ def test_configuration_errors_exit_4(tmp_path, capsys):
 def test_unknown_config_keys_exit_4(tmp_path, capsys):
     # a misspelt key, and the solver choice that old records still echo
     for extra in ({"resolutoin": 16}, {"solver": "auto"}):
-        cfg = tmp_path / "cfg.json"
+        cfg, sweep = tmp_path / "cfg.json", tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"p": 0.5, "q": 0.5, "resolution": 16, **extra}))
+        sweep.write_text(json.dumps({"resolution": 16, **extra}))  # a sweep sets p and q itself
         out = tmp_path / "unknown"
         assert run("solve", "--config", cfg, "--outdir", out) == 4
-        assert run("phase-diagram", "--config", cfg, "--pairs", "0.5:0.5,2:2",
+        assert run("phase-diagram", "--config", sweep, "--pairs", "0.5:0.5,2:2",
                    "--outdir", out) == 4
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count(f"unknown config keys {next(iter(extra))!r}") == 2
+
+
+# each subcommand's config keys: `domain`, `n` and the dests of its long options
+# but the domain flags', which are keys of `domain` (--config and --jobs are no key)
+_COMMON_KEYS = {"domain", "n", "resolution", "s", "seed", "singular_correction"}
+_SOLVER_KEYS = {"init", "second_init", "max_iter", "mp_sweeps", "residual_tol", "outdir"}
+CONFIG_KEYS = {
+    "solve": _COMMON_KEYS | _SOLVER_KEYS | {"p", "q"},
+    "phase-diagram": _COMMON_KEYS | _SOLVER_KEYS | {"pairs", "p_list", "q_list"},
+    "audit": _COMMON_KEYS | {"trials"},
+}
+
+
+def test_each_subcommand_reads_every_key_it_takes_and_refuses_the_rest(tmp_path, capsys):
+    """A JSON object is a bad value for every key: each key a subcommand
+    takes is read, so it fails its own check, and each other key is unknown."""
+    cfg = tmp_path / "cfg.json"
+    all_keys = set().union(*CONFIG_KEYS.values()) | {"config", "jobs", "kind", "radius"}
+    for command, keys in CONFIG_KEYS.items():
+        assert {"domain", "n", *fraclane.cli._option_keys(command)} == keys, command
+        for key in sorted(keys):
+            cfg.write_text(json.dumps({key: {}}))
+            assert run(command, "--config", cfg) == 4, (command, key)
+            err = capsys.readouterr().err  # the key's own check names it first
+            assert err.startswith((f"configuration error: {key} must be ",
+                                   f"configuration error: invalid {key} ")), (command, key, err)
+        for key in sorted(all_keys - keys):
+            cfg.write_text(json.dumps({key: 1}))
+            assert run(command, "--config", cfg) == 4, (command, key)
+            assert f"unknown config keys {key!r}" in capsys.readouterr().err, (command, key)
+    assert not (tmp_path / "default_out").exists()
+
+
+def test_audit_refuses_the_solver_keys_it_never_read(tmp_path, capsys):
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(json.dumps({"p": 2, "q": 2, "init": "random", "max_iter": 3,
+                               "residual_tol": 1e-30}))
+    assert run("audit", "--config", cfg, "--resolution", 16) == 4
+    assert ("unknown config keys 'init', 'max_iter', 'p', 'q', 'residual_tol'"
+            in capsys.readouterr().err)
+    # audit writes no file, so it takes no --outdir
+    assert run("audit", "--resolution", 16, "--outdir", tmp_path / "x") == 4
+    assert not (tmp_path / "x").exists()
+    assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+
+
+def test_audit_reads_its_trials_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "trials.json"
+    cfg.write_text(json.dumps({"trials": 3, "resolution": 16}))
+    assert run("audit", "--config", cfg) == 0
+    assert "positivity trials: 3/3 passed" in capsys.readouterr().out
+    assert run("audit", "--config", cfg, "--trials", 5) == 0  # the flag overrides the key
+    assert "positivity trials: 5/5 passed" in capsys.readouterr().out
+
+
+def test_phase_diagram_refuses_p_and_q_in_its_config(tmp_path, capsys):
+    # a sweep sets p and q per point, so a config's p and q would be dropped
+    cfg = tmp_path / "pq.json"
+    cfg.write_text(json.dumps({"p": 5, "q": 5}))
+    assert run("phase-diagram", "--config", cfg, "--pairs", "", "--outdir", tmp_path / "pq") == 4
+    assert not (tmp_path / "pq").exists()
+    assert "unknown config keys 'p', 'q'" in capsys.readouterr().err
+
+
+def test_phase_diagram_reads_its_points_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "points.json"
+    for index, points in enumerate(({"pairs": "1/2:1/2"}, {"p_list": "1/2,2", "q_list": "2"})):
+        cfg.write_text(json.dumps({**points, "resolution": 16}))
+        out = tmp_path / f"points{index}"
+        assert run("phase-diagram", "--config", cfg, "--outdir", out) == 0
+        rows = json.loads((out / "phase_diagram.json").read_text())
+        assert [(row["input"]["p"], row["input"]["q"]) for row in rows] == (
+            [(0.5, 0.5)] if index == 0 else [(0.5, 2.0), (2.0, 2.0)])
+    # a flag's points and a config's follow the one rule: both forms at once exit 4
+    assert run("phase-diagram", "--config", cfg, "--pairs", "2:2", "--outdir", out) == 4
+    cfg.write_text(json.dumps({"pairs": ["1/2:1/2"]}))
+    assert run("phase-diagram", "--config", cfg) == 4
+    assert "pairs must be a string, got ['1/2:1/2']" in capsys.readouterr().err
+
+
+def test_a_sweep_point_records_what_solve_records(tmp_path):
+    """phase-diagram takes the solver settings that solve takes, and a point's
+    record is the solve's, sweep keys and all run details aside."""
+    settings = ("--resolution", 16, "--s", "1/3", "--init", "random", "--second-init", "bump",
+                "--seed", 3, "--max-iter", 1500, "--mp-sweeps", 200, "--residual-tol", 1e-9)
+    # a superlinear run starts from the bump alone, and makes no second start
+    for index, (p, q, init) in enumerate((("1/2", "1/2", "random"), ("2", "2", "bump"))):
+        solved, swept = tmp_path / f"solve{index}", tmp_path / f"sweep{index}"
+        assert run("solve", "--p", p, "--q", q, *settings, "--outdir", solved) == 0
+        assert run("phase-diagram", "--pairs", f"{p}:{q}", *settings, "--outdir", swept) == 0
+        record = json.loads((solved / "record.json").read_text())
+        (row,) = json.loads((swept / "phase_diagram.json").read_text())
+        assert _without_run_details(row) == _without_run_details(record)
+        assert not {"pairs", "p_list", "q_list"} & set(row["input"])
+        assert row["input"]["init"] == init
+        assert (row["uniqueness_gap_u"] is not None) == (init == "random")
+
+
+@pytest.mark.parametrize("command, domain", [
+    ("solve", ["--domain-kind", "rectangle", "--sides", "1e200", "1e200"]),
+    ("solve", ["--domain-kind", "rectangle", "--sides", "1e-160", "1e-160"]),
+    ("audit", ["--domain-kind", "rectangle", "--sides", "1e200", "1e200"]),
+    ("solve", ["--domain-kind", "interval", "--endpoints", "0", "1e300"]),
+    ("solve", ["--domain-kind", "disk", "--radius", "1e200"]),
+])
+def test_a_domain_beyond_the_float_range_exits_4(tmp_path, capsys, command, domain):
+    argv = [command, *domain, "--resolution", 8]
+    if command == "solve":
+        argv += ["--p", 2, "--q", 2, "--outdir", tmp_path / "far"]
+    assert run(*argv) == 4
+    assert not (tmp_path / "far").exists()
+    assert "leaves the float range when squared" in capsys.readouterr().err
 
 
 def test_domain_keys_of_another_kind_exit_4(tmp_path, capsys):
@@ -759,8 +872,9 @@ def test_entry_points_reject_an_order_whose_float_is_one(tmp_path, capsys):
     message = f"fractional order must lie in (0,1), got {near_one}"
     assert run("classify", 2, 2, 1, near_one) == 4
     out = tmp_path / "near_one"
-    for command in (["solve", "--p", 2, "--q", 2], ["phase-diagram", "--pairs", "2:2"], ["audit"]):
-        assert run(*command, "--resolution", 16, "--s", near_one, "--outdir", out) == 4, command
+    for command in (["solve", "--p", 2, "--q", 2, "--outdir", out],
+                    ["phase-diagram", "--pairs", "2:2", "--outdir", out], ["audit"]):
+        assert run(*command, "--resolution", 16, "--s", near_one) == 4, command
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"] * 4
     for order in (near_one, str(near_one)):  # the library reads the order's text too
@@ -860,8 +974,10 @@ def test_phase_diagram_cartesian_lists_and_jobs(tmp_path):
     out2 = tmp_path / "cart2"
     args = ("--p-list", "0.25,0.5", "--q-list", "0.5,2", "--resolution", 24)
     assert run("phase-diagram", *args, "--outdir", out1) == 0
-    # --jobs is still accepted, and ignored: the points run one after another
-    assert run("phase-diagram", *args, "--jobs", 2, "--outdir", out2) == 0
+    # the points run one after another: --jobs takes 1 only, and changes nothing
+    assert run("phase-diagram", *args, "--jobs", 1, "--outdir", out2) == 0
+    assert run("phase-diagram", *args, "--jobs", 2, "--outdir", tmp_path / "cart3") == 4
+    assert not (tmp_path / "cart3").exists()
     rows1 = json.loads((out1 / "phase_diagram.json").read_text())
     rows2 = json.loads((out2 / "phase_diagram.json").read_text())
     assert len(rows1) == 4

@@ -55,6 +55,25 @@ def test_only_a_missing_center_means_the_origin():
     assert Domain("disk", radius=1.0).center == (0.0, 0.0)
 
 
+def test_geometry_beyond_the_float_range_rejected():
+    """The geometry is computed in squares (the disk's interior test, the
+    bump start, the kernel's powers of the cell widths): a domain with a
+    squared coordinate beyond the float range, or a squared width below its
+    normal numbers, is refused where it is made."""
+    for kind, size in (("interval", {"endpoints": (0.0, 1e300)}),
+                       ("rectangle", {"sides": (1e200, 1e200)}),
+                       ("rectangle", {"sides": (1e-160, 1e-160)}),
+                       ("disk", {"radius": 1e200}),
+                       ("disk", {"radius": float("inf")}),
+                       ("disk", {"radius": 1.0, "center": (1e160, 0.0)}),
+                       ("disk", {"radius": 1.0, "center": (float("nan"), 0.0)})):
+        with pytest.raises(ConfigurationError, match="leaves the float range when squared"):
+            Domain(kind, **size)
+    # the sizes inside the range stay domains
+    assert Domain.rectangle(1e150, 1e150).bounding_box == ((-5e149, 5e149),) * 2
+    assert Domain.interval(0.0, 1e-150).bounding_box == ((0.0, 1e-150),)
+
+
 def test_keys_of_another_kind_rejected():
     for kwargs in ({"kind": "disk", "radius": 1.0, "sides": [5, 5], "endpoints": [0, 3]},
                    {"kind": "interval", "endpoints": (0.0, 1.0), "center": (0.5,)},

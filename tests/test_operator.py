@@ -277,6 +277,15 @@ def test_assembly_matches_the_offset_array_oracle_bitwise(domain, resolution):
             assert np.array_equal(np.signbit(got), np.signbit(ref)), (s, correction)
 
 
+def test_assembly_refuses_a_kernel_beyond_the_float_range():
+    """A domain inside the float range can have cells too small for the
+    kernel's powers; the table is checked before any matrix is made."""
+    grid = build_grid(Domain.rectangle(1e-150, 1e-150), 8)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConfigurationError, match="out of float range"):
+        assemble(grid, 0.5)
+
+
 def test_assembly_keeps_an_exact_order_and_builds_from_its_float():
     """The regime is read from op.s, so a rational order stays exact there;
     the kernel is the one of the order's float."""
